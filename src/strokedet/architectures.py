@@ -3,8 +3,11 @@
 Hidden conv layers use kernel size 3 with same padding and ReLU; the
 terminating conv of the fully convolutional models uses a single-tap kernel
 (kernel size 1) projecting to one linear output channel. GRU stacks end in a
-time-distributed linear dense unit. Parameter counts are exact closed forms,
-computed without allocating weights:
+time-distributed linear dense unit.
+
+`KINDS` is the one place that defines a layer kind: its closed-form parameter
+count, its seeded init, its layer constructor, its output width and its
+layer-table label. Counts are computed without allocating weights:
 
     conv1d:   k*in*out + out
     dense:    in*out + out            (flatten mode: in = time*channels)
@@ -15,6 +18,7 @@ computed without allocating weights:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -70,13 +74,14 @@ def canonical_name(name: str) -> str:
     return key
 
 
-def _conv_chain(channel_plan) -> list:
-    layers = []
-    prev = 1
-    for ch in channel_plan:
-        layers.append(LayerSpec(CONV1D, prev, ch, "relu", kernel_size=3))
-        prev = ch
-    return layers
+def _conv_chain(plan: tuple) -> list:
+    return [LayerSpec(CONV1D, cin, cout, "relu", kernel_size=3) for cin, cout in zip((1,) + plan, plan)]
+
+
+def _recurrent_stack(kind: str, hidden: int, depth: int) -> list:
+    width = KINDS[kind].width * hidden
+    layers = [LayerSpec(kind, width if i else 1, hidden, "tanh") for i in range(depth)]
+    return layers + [LayerSpec(DENSE_TD, width, 1, "linear")]
 
 
 _VGG_BASE = (64, 64, 128, 256, 512, 512)
@@ -84,6 +89,12 @@ _CONV_PLANS = {
     "cnnc1": _VGG_BASE,
     "cnnc2": (64, 64, 128, 128, 256, 256, 512, 512, 1024, 1024),
     "cnnc3": (64, 64, 64, 128, 128, 128, 256, 256, 256, 512, 512, 512, 1024, 1024, 1024),
+}
+_RECURRENT_PLANS = {  # (kind, hidden units, recurrent layers)
+    "gruc1": (GRU_KIND, 64, 2),
+    "bgruc1": (BGRU_KIND, 64, 2),
+    "bgruc2": (BGRU_KIND, 64, 4),
+    "bgruc3": (BGRU_KIND, 128, 4),
 }
 
 
@@ -97,96 +108,14 @@ def build_architecture(name: str) -> ArchitectureSpec:
         plan = _CONV_PLANS[key]
         layers = _conv_chain(plan)
         layers.append(LayerSpec(CONV1D, plan[-1], 1, "linear", kernel_size=1))
-    elif key == "gruc1":
-        layers = [
-            LayerSpec(GRU_KIND, 1, 64, "tanh"),
-            LayerSpec(GRU_KIND, 64, 64, "tanh"),
-            LayerSpec(DENSE_TD, 64, 1, "linear"),
-        ]
-    elif key == "bgruc1":
-        layers = [
-            LayerSpec(BGRU_KIND, 1, 64, "tanh"),
-            LayerSpec(BGRU_KIND, 128, 64, "tanh"),
-            LayerSpec(DENSE_TD, 128, 1, "linear"),
-        ]
-    elif key == "bgruc2":
-        layers = [
-            LayerSpec(BGRU_KIND, 1, 64, "tanh"),
-            LayerSpec(BGRU_KIND, 128, 64, "tanh"),
-            LayerSpec(BGRU_KIND, 128, 64, "tanh"),
-            LayerSpec(BGRU_KIND, 128, 64, "tanh"),
-            LayerSpec(DENSE_TD, 128, 1, "linear"),
-        ]
-    elif key == "bgruc3":
-        layers = [
-            LayerSpec(BGRU_KIND, 1, 128, "tanh"),
-            LayerSpec(BGRU_KIND, 256, 128, "tanh"),
-            LayerSpec(BGRU_KIND, 256, 128, "tanh"),
-            LayerSpec(BGRU_KIND, 256, 128, "tanh"),
-            LayerSpec(DENSE_TD, 256, 1, "linear"),
-        ]
+    elif key in _RECURRENT_PLANS:
+        layers = _recurrent_stack(*_RECURRENT_PLANS[key])
     else:
         raise ConfigError(
             f"unknown architecture {name!r}; known: {', '.join(ARCHITECTURE_NAMES)}"
         )
     return ArchitectureSpec(name=key, layers=tuple(layers))
 
-
-def layer_param_count(layer: LayerSpec, input_length: int = INPUT_LENGTH) -> int:
-    if layer.kind == CONV1D:
-        return layer.kernel_size * layer.in_channels * layer.out_units + layer.out_units
-    if layer.kind == DENSE_FLATTEN:
-        return input_length * layer.in_channels * layer.out_units + layer.out_units
-    if layer.kind == DENSE_TD:
-        return layer.in_channels * layer.out_units + layer.out_units
-    if layer.kind == GRU_KIND:
-        h = layer.out_units
-        return 3 * h * (layer.in_channels + h) + 6 * h
-    if layer.kind == BGRU_KIND:
-        h = layer.out_units
-        return 2 * (3 * h * (layer.in_channels + h) + 6 * h)
-    raise ConfigError(f"unknown layer kind {layer.kind!r}")
-
-
-def layer_param_counts(spec: ArchitectureSpec) -> list:
-    return [layer_param_count(layer, spec.input_length) for layer in spec.layers]
-
-
-def count_params(spec: ArchitectureSpec) -> int:
-    return sum(layer_param_counts(spec))
-
-
-def layer_output_channels(layer: LayerSpec) -> int:
-    if layer.kind == BGRU_KIND:
-        return 2 * layer.out_units
-    return layer.out_units
-
-
-def architecture_table(spec: ArchitectureSpec) -> list:
-    """Rows (layer label, output shape, param count, activation) plus a total row."""
-    rows = []
-    counters = {}
-    for layer in spec.layers:
-        idx = counters.get(layer.kind, 0)
-        counters[layer.kind] = idx + 1
-        suffix = f"_{idx}" if idx else ""
-        n_params = layer_param_count(layer, spec.input_length)
-        if layer.kind == DENSE_FLATTEN:
-            rows.append((
-                "flatten", f"(None, {spec.input_length * layer.in_channels})", 0, "-",
-            ))
-            rows.append((
-                f"dense{suffix}", f"(None, {layer.out_units})", n_params, layer.activation,
-            ))
-        else:
-            label = {CONV1D: "conv1d", GRU_KIND: "gru", BGRU_KIND: "bidirectional",
-                     DENSE_TD: "dense"}[layer.kind] + suffix
-            shape = f"(None, {spec.input_length}, {layer_output_channels(layer)})"
-            rows.append((label, shape, n_params, layer.activation))
-    return rows
-
-
-# --- parameter allocation and the assembled model ---------------------------
 
 def _glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -199,13 +128,124 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _gru_param_arrays(rng, in_channels: int, h: int) -> dict:
+def _dense_arrays(rng, fan_in: int, out: int) -> dict:
+    return {"weight": _glorot_uniform(rng, fan_in, out, (fan_in, out)), "bias": np.zeros(out)}
+
+
+def _conv_arrays(rng, layer: LayerSpec, input_length: int) -> dict:
+    k, cin, cout = layer.kernel_size, layer.in_channels, layer.out_units
+    return {"kernel": _glorot_uniform(rng, k * cin, k * cout, (k, cin, cout)), "bias": np.zeros(cout)}
+
+
+def _gru_count(in_channels: int, h: int) -> int:
+    return 3 * h * (in_channels + h) + 6 * h
+
+
+def _gru_arrays(rng, in_channels: int, h: int) -> dict:
     W = np.concatenate(
         [_glorot_uniform(rng, in_channels, h, (in_channels, h)) for _ in range(3)], axis=1
     )
     U = np.concatenate([_orthogonal(rng, h) for _ in range(3)], axis=1)
     return {"W": W, "U": U, "bw": np.zeros(3 * h), "bu": np.zeros(3 * h)}
 
+
+def _bgru_arrays(rng, layer: LayerSpec, input_length: int) -> dict:
+    arrays = {}
+    for side in ("fwd", "bwd"):
+        gru = _gru_arrays(rng, layer.in_channels, layer.out_units)
+        arrays.update({f"{side}.{k}": v for k, v in gru.items()})
+    return arrays
+
+
+@dataclass(frozen=True)
+class LayerKind:
+    """Everything one layer kind means; each callable takes (LayerSpec, input_length)."""
+
+    label: str  # layer-table name
+    count: Callable  # closed-form parameter count, nothing allocated
+    init: Callable  # (rng, ...) -> seeded arrays by name, drawn in a fixed order
+    build: Callable  # -> the layer object from `layers`
+    width: int = 1  # output channels per unit
+    flattens: bool = False  # consumes the whole window: its table row follows a flatten row
+    kernel: bool = False  # uses LayerSpec.kernel_size
+
+
+KINDS = {
+    CONV1D: LayerKind(
+        "conv1d",
+        count=lambda l, n: l.kernel_size * l.in_channels * l.out_units + l.out_units,
+        init=_conv_arrays,
+        build=lambda l, n: Conv1D(l.in_channels, l.out_units, l.kernel_size, l.activation),
+        kernel=True,
+    ),
+    DENSE_FLATTEN: LayerKind(
+        "dense",
+        count=lambda l, n: n * l.in_channels * l.out_units + l.out_units,
+        init=lambda rng, l, n: _dense_arrays(rng, n * l.in_channels, l.out_units),
+        build=lambda l, n: DenseFlatten(n, l.in_channels, l.out_units, l.activation),
+        flattens=True,
+    ),
+    DENSE_TD: LayerKind(
+        "dense",
+        count=lambda l, n: l.in_channels * l.out_units + l.out_units,
+        init=lambda rng, l, n: _dense_arrays(rng, l.in_channels, l.out_units),
+        build=lambda l, n: DenseTimeDistributed(l.in_channels, l.out_units, l.activation),
+    ),
+    GRU_KIND: LayerKind(
+        "gru",
+        count=lambda l, n: _gru_count(l.in_channels, l.out_units),
+        init=lambda rng, l, n: _gru_arrays(rng, l.in_channels, l.out_units),
+        build=lambda l, n: GRU(l.in_channels, l.out_units),
+    ),
+    BGRU_KIND: LayerKind(
+        "bidirectional",
+        count=lambda l, n: 2 * _gru_count(l.in_channels, l.out_units),
+        init=_bgru_arrays,
+        build=lambda l, n: BiGRU(l.in_channels, l.out_units),
+        width=2,
+    ),
+}
+
+
+def layer_kind(kind: str) -> LayerKind:
+    try:
+        return KINDS[kind]
+    except KeyError:
+        raise ConfigError(f"unknown layer kind {kind!r}") from None
+
+
+def layer_param_count(layer: LayerSpec, input_length: int = INPUT_LENGTH) -> int:
+    return layer_kind(layer.kind).count(layer, input_length)
+
+
+def layer_param_counts(spec: ArchitectureSpec) -> list:
+    return [layer_param_count(layer, spec.input_length) for layer in spec.layers]
+
+
+def count_params(spec: ArchitectureSpec) -> int:
+    return sum(layer_param_counts(spec))
+
+
+def architecture_table(spec: ArchitectureSpec) -> list:
+    """Rows (layer label, output shape, param count, activation) plus a total row."""
+    rows = []
+    counters = {}
+    for layer in spec.layers:
+        kind = layer_kind(layer.kind)
+        idx = counters.get(layer.kind, 0)
+        counters[layer.kind] = idx + 1
+        label = kind.label + (f"_{idx}" if idx else "")
+        n_params = kind.count(layer, spec.input_length)
+        if kind.flattens:
+            rows.append(("flatten", f"(None, {spec.input_length * layer.in_channels})", 0, "-"))
+            shape = f"(None, {layer.out_units})"
+        else:
+            shape = f"(None, {spec.input_length}, {kind.width * layer.out_units})"
+        rows.append((label, shape, n_params, layer.activation))
+    return rows
+
+
+# --- parameter allocation and the assembled model ---------------------------
 
 def layer_prefix(index: int, layer: LayerSpec) -> str:
     return f"layer{index:02d}.{layer.kind}"
@@ -227,30 +267,8 @@ def init_params(spec: ArchitectureSpec, seed: int, allow_large: bool = False) ->
     params = {}
     for i, layer in enumerate(spec.layers):
         prefix = layer_prefix(i, layer)
-        if layer.kind == CONV1D:
-            k, cin, cout = layer.kernel_size, layer.in_channels, layer.out_units
-            params[f"{prefix}.kernel"] = _glorot_uniform(rng, k * cin, k * cout, (k, cin, cout))
-            params[f"{prefix}.bias"] = np.zeros(cout)
-        elif layer.kind == DENSE_FLATTEN:
-            fan_in = spec.input_length * layer.in_channels
-            params[f"{prefix}.weight"] = _glorot_uniform(
-                rng, fan_in, layer.out_units, (fan_in, layer.out_units)
-            )
-            params[f"{prefix}.bias"] = np.zeros(layer.out_units)
-        elif layer.kind == DENSE_TD:
-            params[f"{prefix}.weight"] = _glorot_uniform(
-                rng, layer.in_channels, layer.out_units, (layer.in_channels, layer.out_units)
-            )
-            params[f"{prefix}.bias"] = np.zeros(layer.out_units)
-        elif layer.kind == GRU_KIND:
-            arrays = _gru_param_arrays(rng, layer.in_channels, layer.out_units)
-            params.update({f"{prefix}.{k}": v for k, v in arrays.items()})
-        elif layer.kind == BGRU_KIND:
-            for side in ("fwd", "bwd"):
-                arrays = _gru_param_arrays(rng, layer.in_channels, layer.out_units)
-                params.update({f"{prefix}.{side}.{k}": v for k, v in arrays.items()})
-        else:
-            raise ConfigError(f"unknown layer kind {layer.kind!r}")
+        arrays = layer_kind(layer.kind).init(rng, layer, spec.input_length)
+        params.update({f"{prefix}.{k}": v for k, v in arrays.items()})
     return params
 
 
@@ -259,26 +277,11 @@ class Model:
 
     def __init__(self, spec: ArchitectureSpec):
         self.spec = spec
-        self.layers = []
-        for layer in spec.layers:
-            if layer.kind == CONV1D:
-                obj = Conv1D(layer.in_channels, layer.out_units, layer.kernel_size, layer.activation)
-            elif layer.kind == DENSE_FLATTEN:
-                obj = DenseFlatten(spec.input_length, layer.in_channels, layer.out_units, layer.activation)
-            elif layer.kind == DENSE_TD:
-                obj = DenseTimeDistributed(layer.in_channels, layer.out_units, layer.activation)
-            elif layer.kind == GRU_KIND:
-                obj = GRU(layer.in_channels, layer.out_units)
-            else:
-                obj = BiGRU(layer.in_channels, layer.out_units)
-            self.layers.append(obj)
+        self.layers = [layer_kind(layer.kind).build(layer, spec.input_length) for layer in spec.layers]
+        self.prefixes = [layer_prefix(i, layer) for i, layer in enumerate(spec.layers)]
 
     def param_names(self) -> list:
-        names = []
-        for i, (layer, obj) in enumerate(zip(self.spec.layers, self.layers)):
-            prefix = layer_prefix(i, layer)
-            names.extend(f"{prefix}.{key}" for key in obj.params)
-        return names
+        return [f"{prefix}.{key}" for prefix, obj in zip(self.prefixes, self.layers) for key in obj.params]
 
     def bind(self, params: dict) -> None:
         """Point every layer at the arrays in `params` (shared, not copied)."""
@@ -289,18 +292,14 @@ class Model:
             raise ConfigError(
                 f"params do not match {self.spec.name}: missing {sorted(missing)}, extra {sorted(extra)}"
             )
-        for i, (layer, obj) in enumerate(zip(self.spec.layers, self.layers)):
-            prefix = layer_prefix(i, layer)
+        for prefix, obj in zip(self.prefixes, self.layers):
             for key in list(obj.params):
                 value = np.asarray(params[f"{prefix}.{key}"], dtype=np.float64)
                 if value.shape != obj.params[key].shape:
                     raise ConfigError(
                         f"{prefix}.{key}: expected shape {obj.params[key].shape}, got {value.shape}"
                     )
-                if isinstance(obj, BiGRU):
-                    obj.set_param(key, value)
-                else:
-                    obj.params[key] = value
+                obj.params[key] = value
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(batch, time, 1) -> (batch, time) model output."""
@@ -315,11 +314,8 @@ class Model:
         return g
 
     def gradients(self) -> dict:
-        grads = {}
-        for i, (layer, obj) in enumerate(zip(self.spec.layers, self.layers)):
-            prefix = layer_prefix(i, layer)
-            grads.update({f"{prefix}.{key}": value for key, value in obj.grads.items()})
-        return grads
+        return {f"{prefix}.{key}": value for prefix, obj in zip(self.prefixes, self.layers)
+                for key, value in obj.grads.items()}
 
 
 def model_forward(spec: ArchitectureSpec, params: dict, window) -> np.ndarray:

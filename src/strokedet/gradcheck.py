@@ -11,55 +11,31 @@ from __future__ import annotations
 
 import numpy as np
 
+from .architectures import KINDS, LayerSpec, layer_kind as _lookup_kind
 from .errors import ConfigError
-from .layers import GRU, BiGRU, Conv1D, DenseFlatten, DenseTimeDistributed
+from .layers import Conv1D
 
-LAYER_KINDS = ("conv1d", "dense_flatten", "dense_timedistributed", "gru", "bgru")
+LAYER_KINDS = tuple(KINDS)
 
 _REL_FLOOR = 1e-3
 
 
 def _make_layer(kind: str, shape):
-    if kind == "conv1d":
-        t, cin, cout, k = shape
-        return Conv1D(cin, cout, k, activation="relu"), (t, cin)
-    if kind == "dense_flatten":
-        t, cin, out = shape
-        return DenseFlatten(t, cin, out, activation="linear"), (t, cin)
-    if kind == "dense_timedistributed":
-        t, cin, out = shape
-        return DenseTimeDistributed(cin, out, activation="linear"), (t, cin)
-    if kind == "gru":
-        t, cin, h = shape
-        return GRU(cin, h), (t, cin)
-    if kind == "bgru":
-        t, cin, h = shape
-        return BiGRU(cin, h), (t, cin)
-    raise ConfigError(f"unknown layer kind {kind!r}")
+    """The layer object for `shape` and its input (time, channels).
+
+    Kinds with a kernel are checked through a ReLU, whose kink is the hard
+    case for finite differences; the others through their linear map.
+    """
+    entry = _lookup_kind(kind)
+    t, cin, out, *k = shape
+    spec = LayerSpec(kind, cin, out, "relu" if entry.kernel else "linear",
+                     kernel_size=k[0] if k else 0)
+    return entry.build(spec, t), (t, cin)
 
 
 def _randomize(layer, rng):
-    if isinstance(layer, BiGRU):
-        _randomize(layer.fwd, rng)
-        _randomize(layer.bwd, rng)
-        return
     for key in layer.params:
         layer.params[key] = rng.uniform(-1.0, 1.0, size=layer.params[key].shape)
-
-
-def _param_arrays(layer):
-    if isinstance(layer, BiGRU):
-        for side in ("fwd", "bwd"):
-            sub = getattr(layer, side)
-            for key in sub.params:
-                yield f"{side}.{key}", sub.params[key]
-    else:
-        for key in layer.params:
-            yield key, layer.params[key]
-
-
-def _grad_for(layer, name):
-    return layer.grads[name]
 
 
 def _loss(layer, x, target):
@@ -118,8 +94,8 @@ def gradient_check(layer_kind: str, shape, seed: int, epsilon: float = 1e-4) -> 
             err = abs(a - numeric) / max(abs(a), abs(numeric), _REL_FLOOR)
             worst = max(worst, err)
 
-    for name, array in _param_arrays(layer):
-        compare(array, _grad_for(layer, name))
+    for name, array in layer.params.items():
+        compare(array, layer.grads[name])
     compare(x, dx)
     return worst
 
@@ -129,7 +105,6 @@ def random_toy_shape(layer_kind: str, rng) -> tuple:
     t = int(rng.integers(3, 9))
     cin = int(rng.integers(1, 5))
     cout = int(rng.integers(1, 5))
-    if layer_kind == "conv1d":
-        k = int(rng.choice([1, 3]))
-        return (t, cin, cout, k)
+    if _lookup_kind(layer_kind).kernel:
+        return (t, cin, cout, int(rng.choice([1, 3])))
     return (t, cin, cout)

@@ -99,21 +99,40 @@ def write_events_jsonl(path, events, frame: str = "run") -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def jsonl_records(path) -> list:
+    """(line number, object) for each non-blank line; malformed input is a DataError."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    records = []
+    for n, ln in enumerate(text.splitlines(), 1):
+        if not ln.strip():
+            continue
+        try:
+            obj = json.loads(ln)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {n}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: line {n}: expected a JSON object, got {ln.strip()[:40]!r}")
+        records.append((n, obj))
+    return records
+
+
 def read_events_jsonl(path):
     """Returns (frame, [EventLabel, ...])."""
-    path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
+    records = jsonl_records(path)
+    if not records:
         raise DataError(f"{path}: empty event file")
-    header = json.loads(lines[0])
-    frame = header.get("frame")
+    frame = records[0][1].get("frame")
     if frame not in ("window", "run"):
         raise DataError(f"{path}: first record must declare frame 'window' or 'run'")
     events = []
-    for ln in lines[1:]:
-        obj = json.loads(ln)
+    for n, obj in records[1:]:
         try:
             events.append(EventLabel(t=int(obj["t"]), kind=obj["kind"]))
         except KeyError as exc:
-            raise DataError(f"{path}: event record missing {exc}") from exc
+            raise DataError(f"{path}: line {n}: event record missing {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: line {n}: malformed event record: {exc}") from exc
     return frame, events

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit as _sigmoid
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 ACTIVATIONS = ("relu", "tanh", "linear")
 
@@ -185,7 +185,6 @@ class GRU:
         }
         self.grads = {}
         self._cache = None
-        self.h0_grad = None
 
     def forward(self, x: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.in_channels:
@@ -241,7 +240,6 @@ class GRU:
             dgh[:, step, h:2 * h] = dar
             dgh[:, step, 2 * h:] = dan * r
             dh += dgh[:, step] @ U.T
-        self.h0_grad = dh
         bt = b * t
         self.grads = {
             "W": x.reshape(bt, -1).T @ dgx.reshape(bt, -1),
@@ -253,31 +251,26 @@ class GRU:
 
 
 class BiGRU:
-    """Two GRUs over opposite time directions, hidden sequences concatenated."""
+    """Two GRUs over opposite time directions, hidden sequences concatenated.
+
+    `params` and `grads` are flat like every other layer's, keyed
+    `fwd.<array>` and `bwd.<array>`; `forward` hands each direction its arrays.
+    """
 
     def __init__(self, in_channels: int, hidden: int):
         self.in_channels = in_channels
         self.hidden = hidden
         self.fwd = GRU(in_channels, hidden)
         self.bwd = GRU(in_channels, hidden)
+        self.params = {f"{side}.{k}": v for side, gru in self._sides() for k, v in gru.params.items()}
+        self.grads = {}
 
-    @property
-    def params(self) -> dict:
-        merged = {f"fwd.{k}": v for k, v in self.fwd.params.items()}
-        merged.update({f"bwd.{k}": v for k, v in self.bwd.params.items()})
-        return merged
-
-    @property
-    def grads(self) -> dict:
-        merged = {f"fwd.{k}": v for k, v in self.fwd.grads.items()}
-        merged.update({f"bwd.{k}": v for k, v in self.bwd.grads.items()})
-        return merged
-
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        side, key = name.split(".", 1)
-        getattr(self, side).params[key] = value
+    def _sides(self):
+        return (("fwd", self.fwd), ("bwd", self.bwd))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        for side, gru in self._sides():
+            gru.params = {k: self.params[f"{side}.{k}"] for k in gru.params}
         yf = self.fwd.forward(x)
         yb = self.bwd.forward(x[:, ::-1])[:, ::-1]
         return np.concatenate([yf, yb], axis=2)
@@ -286,71 +279,5 @@ class BiGRU:
         h = self.hidden
         dxf = self.fwd.backward(gy[:, :, :h])
         dxb = self.bwd.backward(gy[:, ::-1, h:])[:, ::-1]
+        self.grads = {f"{side}.{k}": v for side, gru in self._sides() for k, v in gru.grads.items()}
         return dxf + dxb
-
-
-# --- functional views over single (time, channels) tensors -------------------
-
-def _as_batch(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        raise ConfigError(f"expected a (time, channels) tensor, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise NumericError("non-finite values in layer input")
-    return x[None]
-
-
-def conv1d_forward(x, kernel, bias, activation: str = "linear") -> np.ndarray:
-    """Zero-padded same-length convolution, stride 1, then activation."""
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 3:
-        raise ConfigError(f"kernel must be (k, in, out), got shape {kernel.shape}")
-    xb = _as_batch(x)
-    if xb.shape[2] != kernel.shape[1]:
-        raise ConfigError(f"input channels {xb.shape[2]} do not match kernel {kernel.shape}")
-    layer = Conv1D(kernel.shape[1], kernel.shape[2], kernel.shape[0], activation)
-    layer.params["kernel"] = kernel
-    layer.params["bias"] = np.asarray(bias, dtype=np.float64)
-    return layer.forward(xb)[0]
-
-
-def dense_forward(x, weight, bias, mode: str = "timedistributed", activation: str = "linear") -> np.ndarray:
-    weight = np.asarray(weight, dtype=np.float64)
-    xb = _as_batch(x)
-    _, t, c = xb.shape
-    if mode == "flatten":
-        if weight.shape[0] != t * c:
-            raise ConfigError(f"flatten weight rows {weight.shape[0]} != time*channels {t * c}")
-        layer = DenseFlatten(t, c, weight.shape[1], activation)
-    elif mode == "timedistributed":
-        if weight.shape[0] != c:
-            raise ConfigError(f"timedistributed weight rows {weight.shape[0]} != channels {c}")
-        layer = DenseTimeDistributed(c, weight.shape[1], activation)
-    else:
-        raise ConfigError(f"unknown dense mode {mode!r}")
-    layer.params["weight"] = weight
-    layer.params["bias"] = np.asarray(bias, dtype=np.float64)
-    return layer.forward(xb)[0]
-
-
-def gru_forward(x, params: dict, h0=None) -> np.ndarray:
-    """Full hidden sequence of a reset-after GRU; params keys W, U, bw, bu."""
-    W = np.asarray(params["W"], dtype=np.float64)
-    xb = _as_batch(x)
-    hidden = W.shape[1] // 3
-    layer = GRU(W.shape[0], hidden)
-    for key in ("W", "U", "bw", "bu"):
-        layer.params[key] = np.asarray(params[key], dtype=np.float64)
-    h0b = None if h0 is None else np.asarray(h0, dtype=np.float64)
-    return layer.forward(xb, h0=h0b)[0]
-
-
-def bidirectional_forward(x, fwd_params: dict, bwd_params: dict) -> np.ndarray:
-    """Concatenated [forward | backward] hidden sequences."""
-    if fwd_params["U"].shape != bwd_params["U"].shape:
-        raise ConfigError("forward and backward GRUs must have the same hidden size")
-    yf = gru_forward(x, fwd_params)
-    yb = gru_forward(np.asarray(x, dtype=np.float64)[::-1], bwd_params)[::-1]
-    return np.concatenate([yf, yb], axis=1)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .labels import ENDING, ONSET
+from .labels import ENDING, ONSET, jsonl_records
 
 
 @dataclass(frozen=True)
@@ -208,15 +208,17 @@ def write_detections_jsonl(path, groups) -> None:
 def read_detections_jsonl(path):
     groups = []
     current = None
-    for ln in Path(path).read_text().splitlines():
-        if not ln.strip():
-            continue
-        obj = json.loads(ln)
+    for n, obj in jsonl_records(path):
         if "window" in obj:
             current = (obj["window"], [])
             groups.append(current)
-        else:
-            if current is None:
-                raise DataError(f"{path}: detection record before any window header")
+            continue
+        if current is None:
+            raise DataError(f"{path}: detection record before any window header")
+        try:
             current[1].append(Detection(int(obj["t"]), obj["kind"], float(obj["score"])))
+        except KeyError as exc:
+            raise DataError(f"{path}: line {n}: detection record missing {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: line {n}: malformed detection record: {exc}") from exc
     return groups

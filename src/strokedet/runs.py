@@ -86,9 +86,6 @@ class SplitPlan:
     def athletes(self, label: str) -> list:
         return sorted(a for a, lab in self.assignments.items() if lab == label)
 
-    def fold_label(self, i: int) -> str:
-        return f"fold{i}"
-
 
 def interpolate_gaps(run: RawRun) -> RawRun:
     """Fill invalid samples: linear between valid neighbors, hold at the edges.
@@ -132,10 +129,6 @@ def minmax_normalize(values) -> np.ndarray:
     if hi == lo:
         return np.zeros_like(x)
     return (x - lo) / (hi - lo)
-
-
-def normalize_window(window: Window) -> Window:
-    return replace(window, values=minmax_normalize(window.values))
 
 
 def subject_aware_split(runs, n_folds: int, holdout_fraction: float, seed: int) -> SplitPlan:
@@ -186,22 +179,32 @@ def read_run_csv(path, boat_type: str = "canoe") -> RawRun:
     m = _RUN_FILENAME_RE.match(path.name)
     if m is None:
         raise DataError(f"{path.name}: filename does not match run<id>_ath<id>.csv")
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path.name}: not a readable CSV file: {exc}") from exc
+    header = rows[0] if rows else None
+    if header != ["index", "force", "valid"]:
+        raise DataError(f"{path.name}: expected header index,force,valid, got {header}")
     force = []
     valid = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "force", "valid"]:
-            raise DataError(f"{path.name}: expected header index,force,valid, got {header}")
-        for expected, row in enumerate(reader):
-            if len(row) != 3:
-                raise DataError(f"{path.name}: malformed row {row}")
-            if int(row[0]) != expected:
-                raise DataError(f"{path.name}: index column must be contiguous from 0")
-            force.append(float(row[1]))
-            if row[2] not in ("0", "1"):
-                raise DataError(f"{path.name}: valid column must be 0 or 1, got {row[2]!r}")
-            valid.append(row[2] == "1")
+    for expected, row in enumerate(rows[1:]):
+        where = f"{path.name}: line {expected + 2}"
+        if len(row) != 3:
+            raise DataError(f"{where}: malformed row {row}")
+        try:
+            index, value = int(row[0]), float(row[1])
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from exc
+        if index != expected:
+            raise DataError(f"{path.name}: index column must be contiguous from 0")
+        if row[2] not in ("0", "1"):
+            raise DataError(f"{where}: valid column must be 0 or 1, got {row[2]!r}")
+        if row[2] == "1" and not math.isfinite(value):
+            raise DataError(f"{where}: non-finite force {row[1]!r} on a valid sample")
+        force.append(value)
+        valid.append(row[2] == "1")
     return RawRun(
         run_id=m.group("run_id"),
         athlete_id=m.group("athlete_id"),

@@ -1,6 +1,7 @@
 """End-to-end CLI runs on a miniature synthetic dataset."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,15 @@ def test_unknown_architecture_exit_code():
 def test_missing_dataset_exit_code(tmp_path):
     assert main(["evaluate", "--data", str(tmp_path / "nope"), "--predict-from-labels",
                  "--out", str(tmp_path / "o")]) == 3
+
+
+def test_truncated_events_line_exit_code(workspace, tmp_path):
+    raw = tmp_path / "raw"
+    shutil.copytree(workspace / "raw", raw)
+    events = sorted(raw.glob("*.events.jsonl"))[0]
+    text = events.read_text()
+    events.write_text(text[:text.rindex("}")])  # cut the last record short
+    assert main(["preprocess"] + tiny_args(["--data", str(raw), "--out", str(tmp_path / "d")])) == 3
 
 
 def test_bad_config_key_exit_code(tmp_path):

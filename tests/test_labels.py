@@ -93,3 +93,16 @@ class TestEventFiles:
         path.write_text('{"t": 3, "kind": "onset"}\n')
         with pytest.raises(DataError):
             read_events_jsonl(path)
+
+    @pytest.mark.parametrize("record", [
+        '{"t": 3, "kind": "onset"',  # truncated
+        '[3, "onset"]',
+        '{"kind": "onset"}',
+        '{"t": "three", "kind": "onset"}',
+        '{"t": Infinity, "kind": "onset"}',
+    ], ids=["truncated", "not-object", "missing-t", "text-t", "infinite-t"])
+    def test_malformed_record_rejected(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"frame": "run"}\n' + record + "\n")
+        with pytest.raises(DataError, match="line 2"):
+            read_events_jsonl(path)

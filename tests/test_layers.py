@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from strokedet.architectures import (
+    ArchitectureSpec,
+    LayerSpec,
+    Model,
     build_architecture,
+    count_params,
     init_params,
     model_forward,
     mse_loss_and_grads,
 )
 from strokedet.errors import ConfigError, NumericError
-from strokedet.layers import (
-    bidirectional_forward,
-    conv1d_forward,
-    dense_forward,
-    gru_forward,
-)
+from strokedet.layers import GRU, BiGRU, Conv1D, DenseFlatten, DenseTimeDistributed
 
 
 def gru_params(rng, cin, h):
@@ -27,17 +26,37 @@ def gru_params(rng, cin, h):
     }
 
 
+def run(layer, x, **kwargs):
+    """One (time, channels) window through a batch-first layer."""
+    return layer.forward(np.asarray(x, dtype=np.float64)[None], **kwargs)[0]
+
+
+def make_gru(params):
+    cin, h3 = params["W"].shape
+    layer = GRU(cin, h3 // 3)
+    layer.params.update(params)
+    return layer
+
+
+def make_bigru(fwd_params, bwd_params):
+    cin, h3 = fwd_params["W"].shape
+    layer = BiGRU(cin, h3 // 3)
+    for side, params in (("fwd", fwd_params), ("bwd", bwd_params)):
+        layer.params.update({f"{side}.{k}": v for k, v in params.items()})
+    return layer
+
+
 class TestConv1dForward:
     def test_zero_kernel_zero_output(self):
         x = np.random.default_rng(0).normal(size=(10, 3))
-        out = conv1d_forward(x, np.zeros((3, 3, 2)), np.zeros(2))
+        out = run(Conv1D(3, 2, 3, activation="linear"), x)
         assert not out.any()
 
     def test_delta_kernel_identity(self):
         x = np.random.default_rng(1).normal(size=(12, 1))
-        kernel = np.zeros((3, 1, 1))
-        kernel[1, 0, 0] = 1.0
-        np.testing.assert_allclose(conv1d_forward(x, kernel, np.zeros(1)), x, atol=1e-15)
+        layer = Conv1D(1, 1, 3, activation="linear")
+        layer.params["kernel"][1, 0, 0] = 1.0
+        np.testing.assert_allclose(run(layer, x), x, atol=1e-15)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -57,47 +76,53 @@ class TestConv1dForward:
                         for ci in range(cin):
                             acc += x[src, ci] * kernel[j, ci, co]
                 expected[ti, co] = acc
-        out = conv1d_forward(x, kernel, bias, activation="linear")
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        layer = Conv1D(cin, cout, k, activation="linear")
+        layer.params.update(kernel=kernel, bias=bias)
+        np.testing.assert_allclose(run(layer, x), expected, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            conv1d_forward(np.zeros((5, 2)), np.zeros((3, 3, 1)), np.zeros(1))
+            run(Conv1D(3, 1, 3), np.zeros((5, 2)))
 
 
 class TestDenseForward:
     def test_zero_weight_constant_bias(self):
         x = np.random.default_rng(0).normal(size=(6, 2))
-        out = dense_forward(x, np.zeros((2, 3)), np.full(3, 1.5), mode="timedistributed")
-        assert (out == 1.5).all()
+        layer = DenseTimeDistributed(2, 3)
+        layer.params["bias"] = np.full(3, 1.5)
+        assert (run(layer, x) == 1.5).all()
 
     def test_flatten_consumes_whole_window(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 2))
         w = rng.normal(size=(8, 3))
         b = rng.normal(size=3)
-        out = dense_forward(x, w, b, mode="flatten")
+        layer = DenseFlatten(4, 2, 3)
+        layer.params.update(weight=w, bias=b)
+        out = run(layer, x)
         np.testing.assert_allclose(out[:, 0], x.reshape(-1) @ w + b, atol=1e-12)
 
     def test_timedistributed_param_shape(self):
         # 128-channel input, one output unit -> 129 parameters
-        w = np.zeros((128, 1))
-        b = np.zeros(1)
-        assert w.size + b.size == 129
-        out = dense_forward(np.zeros((5, 128)), w, b, mode="timedistributed")
+        layer = DenseTimeDistributed(128, 1)
+        assert sum(v.size for v in layer.params.values()) == 129
+        out = run(layer, np.zeros((5, 128)))
         assert out.shape == (5, 1)
 
     def test_bad_mode_rejected(self):
+        spec = ArchitectureSpec("bad", (LayerSpec("dense_conv", 2, 1, "linear"),), input_length=4)
         with pytest.raises(ConfigError):
-            dense_forward(np.zeros((4, 2)), np.zeros((2, 1)), np.zeros(1), mode="conv")
+            count_params(spec)
+        with pytest.raises(ConfigError):
+            init_params(spec, 0)
+        with pytest.raises(ConfigError):
+            Model(spec)
 
 
 class TestGruForward:
     def test_zero_params_zero_output(self):
         x = np.random.default_rng(0).normal(size=(7, 2))
-        params = {"W": np.zeros((2, 9)), "U": np.zeros((3, 9)),
-                  "bw": np.zeros(9), "bu": np.zeros(9)}
-        assert not gru_forward(x, params).any()
+        assert not run(GRU(2, 3), x).any()
 
     def test_matches_scalar_gate_oracle(self):
         rng = np.random.default_rng(7)
@@ -118,7 +143,7 @@ class TestGruForward:
             n = np.tanh(gx[2 * h:] + r * gh[2 * h:])
             hidden = z * hidden + (1.0 - z) * n
             expected.append(hidden.copy())
-        np.testing.assert_allclose(gru_forward(x, params), np.array(expected), atol=1e-12)
+        np.testing.assert_allclose(run(make_gru(params), x), np.array(expected), atol=1e-12)
 
     def test_update_gate_one_copies_h0(self):
         rng = np.random.default_rng(3)
@@ -126,14 +151,15 @@ class TestGruForward:
         params["bw"] = params["bw"].copy()
         params["bw"][:4] = 1e3  # saturates z at exactly 1.0
         h0 = rng.uniform(-1, 1, 4)
-        out = gru_forward(rng.uniform(-1, 1, (6, 2)), params, h0=h0)
+        out = run(make_gru(params), rng.uniform(-1, 1, (6, 2)), h0=h0)
         np.testing.assert_array_equal(out, np.tile(h0, (6, 1)))
 
     def test_non_finite_input_rejected(self):
-        params = gru_params(np.random.default_rng(0), 1, 2)
-        x = np.array([[1.0], [np.nan]])
+        spec = build_architecture("gruc1")
+        x = np.zeros(1000)
+        x[1] = np.nan
         with pytest.raises(NumericError):
-            gru_forward(x, params)
+            model_forward(spec, init_params(spec, 0), x)
 
 
 class TestBidirectionalForward:
@@ -142,21 +168,19 @@ class TestBidirectionalForward:
         params = gru_params(rng, 1, 3)
         half = rng.uniform(-1, 1, 4)
         x = np.concatenate([half, half[::-1]])[:, None]  # palindrome
-        out = bidirectional_forward(x, params, params)
+        out = run(make_bigru(params, params), x)
         np.testing.assert_allclose(out[:, :3], out[::-1, 3:], atol=1e-12)
 
     def test_hidden_mismatch_rejected(self):
-        rng = np.random.default_rng(6)
+        spec = build_architecture("bgruc1")
+        params = init_params(spec, 0)
+        params["layer00.bgru.bwd.U"] = np.zeros((3, 9))
         with pytest.raises(ConfigError):
-            bidirectional_forward(
-                np.zeros((4, 1)), gru_params(rng, 1, 2), gru_params(rng, 1, 3)
-            )
+            Model(spec).bind(params)
 
     def test_output_width_doubles(self):
         rng = np.random.default_rng(8)
-        out = bidirectional_forward(
-            rng.normal(size=(5, 1)), gru_params(rng, 1, 4), gru_params(rng, 1, 4)
-        )
+        out = run(make_bigru(gru_params(rng, 1, 4), gru_params(rng, 1, 4)), rng.normal(size=(5, 1)))
         assert out.shape == (5, 8)
 
 
@@ -182,8 +206,9 @@ class TestModelForward:
         ref = x
         for i, layer in enumerate(spec.layers):
             prefix = f"layer{i:02d}.conv1d"
-            ref = conv1d_forward(ref, params[f"{prefix}.kernel"], params[f"{prefix}.bias"],
-                                 activation=layer.activation)
+            conv = Conv1D(layer.in_channels, layer.out_units, layer.kernel_size, layer.activation)
+            conv.params.update(kernel=params[f"{prefix}.kernel"], bias=params[f"{prefix}.bias"])
+            ref = run(conv, ref)
         out = model_forward(spec, params, x)
         np.testing.assert_allclose(out, ref[:, 0], atol=1e-10)
 
@@ -204,8 +229,6 @@ class TestMseLossAndGrads:
         assert all(not g.any() for g in grads.values())
 
     def test_single_dense_layer_closed_form(self):
-        from strokedet.architectures import ArchitectureSpec, LayerSpec
-
         rng = np.random.default_rng(9)
         t = 50
         spec = ArchitectureSpec(

@@ -203,3 +203,16 @@ def test_detections_jsonl_roundtrip(tmp_path):
     write_detections_jsonl(path, groups)
     back = read_detections_jsonl(path)
     assert back == groups
+
+
+@pytest.mark.parametrize("record", [
+    '{"t": 10, "kind": "onset", "score": 0.5',  # truncated
+    '{"t": 10, "kind": "onset"}',
+    '{"t": 10, "kind": "onset", "score": "high"}',
+    '"run01:0"',
+], ids=["truncated", "missing-score", "text-score", "not-object"])
+def test_malformed_detection_record_rejected(tmp_path, record):
+    path = tmp_path / "dets.jsonl"
+    path.write_text('{"window": "run01:0"}\n' + record + "\n")
+    with pytest.raises(DataError, match="line 2"):
+        read_detections_jsonl(path)

@@ -168,3 +168,20 @@ class TestRunFiles:
         )
         write_split_json(plan, tmp_path / "split.json")
         assert read_split_json(tmp_path / "split.json") == plan
+
+    @pytest.mark.parametrize("row, error", [
+        (b"0,abc,1", "line 2"),
+        (b"zero,1.5,1", "line 2"),
+        (b"0,nan,1", "non-finite"),
+        (b"0,inf,1", "non-finite"),
+        (b"0,\xff,1", "not a readable CSV"),
+        (b"0,nan,0", None),  # a gap sample may hold anything; interpolation replaces it
+    ], ids=["text-force", "text-index", "nan-force", "inf-force", "not-utf8", "nan-gap"])
+    def test_malformed_cells(self, tmp_path, row, error):
+        path = tmp_path / "run1_ath1.csv"
+        path.write_bytes(b"index,force,valid\n" + row + b"\n1,2.5,1\n")
+        if error is None:
+            assert interpolate_gaps(read_run_csv(path)).force.tolist() == [2.5, 2.5]
+        else:
+            with pytest.raises(DataError, match=error):
+                read_run_csv(path)
