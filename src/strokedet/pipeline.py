@@ -88,8 +88,11 @@ def load_runs_dir(data_dir):
     boat_types = {}
     manifest_path = data_dir / MANIFEST
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        boat_types = {e["run_id"]: e["boat_type"] for e in manifest.get("files", [])}
+        try:
+            manifest = json.loads(manifest_path.read_text())
+            boat_types = {e["run_id"]: e["boat_type"] for e in manifest.get("files", [])}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{manifest_path}: not a valid manifest: {exc}") from exc
     pairs = []
     run_paths = sorted(data_dir.glob("run*_ath*.csv"))
     if not run_paths:
@@ -178,21 +181,43 @@ def load_dataset(data_dir) -> WindowDataset:
     for name in (DATASET_BIN, DATASET_META, SPLIT_FILE):
         if not (data_dir / name).exists():
             raise DataError(f"{data_dir}: missing {name}; run the preprocess command first")
-    arrays = load_arrays(data_dir / DATASET_BIN)
-    meta = json.loads((data_dir / DATASET_META).read_text())
+    bin_path = data_dir / DATASET_BIN
+    arrays = load_arrays(bin_path)
+    meta_path = data_dir / DATASET_META
+    try:
+        meta = json.loads(meta_path.read_text())
+        windows = list(meta["windows"])
+        window_length = int(meta["window_length"])
+        window_stride = int(meta["window_stride"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{meta_path}: not a valid dataset meta file: {exc}") from exc
     split = rn.read_split_json(data_dir / SPLIT_FILE)
-    n = arrays["X"].shape[0]
+    try:
+        X, Y = arrays["X"], arrays["Y"]
+        event_columns = arrays["event_window"], arrays["event_t"], arrays["event_sign"]
+    except KeyError as exc:
+        raise DataError(f"{bin_path}: missing array {exc}") from exc
+    n = X.shape[0]
+    if len(windows) != n:
+        raise DataError(f"{meta_path}: lists {len(windows)} windows, {bin_path} holds {n}")
     events = [[] for _ in range(n)]
-    for w, t, sign in zip(arrays["event_window"], arrays["event_t"], arrays["event_sign"]):
-        events[int(w)].append(lb.EventLabel(t=int(t), kind=KIND_FROM_SIGN[float(sign)]))
+    for w, t, sign in zip(*event_columns):
+        if not 0 <= w < n:
+            raise DataError(f"{bin_path}: event window index {w} outside [0, {n})")
+        if not np.isfinite(t):
+            raise DataError(f"{bin_path}: event time {t} is not finite")
+        kind = KIND_FROM_SIGN.get(float(sign))
+        if kind is None:
+            raise DataError(f"{bin_path}: event sign {sign} is neither +1 nor -1")
+        events[int(w)].append(lb.EventLabel(t=int(t), kind=kind))
     return WindowDataset(
-        X=arrays["X"],
-        Y=arrays["Y"],
-        meta=meta["windows"],
+        X=X,
+        Y=Y,
+        meta=windows,
         events=events,
         split=split,
-        window_length=int(meta["window_length"]),
-        window_stride=int(meta["window_stride"]),
+        window_length=window_length,
+        window_stride=window_stride,
     )
 
 

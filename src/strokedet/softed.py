@@ -12,10 +12,14 @@ end: events and detections inside a margin are dropped, and so is anything
 whose candidate partner lies inside a margin. The effective number of time
 samples shrinks by 2h accordingly.
 
-Association is an exact maximum-total-membership one-to-one matching between
-same-kind entities. Among equally optimal matchings, pairs are preferred in
-descending membership, then smaller |dt|, then earlier event, then earlier
-detection, which makes the matched-pair set deterministic.
+Association builds one (events x detections) weight matrix, k - |dt| for
+same-kind entities closer than k samples and 0 otherwise; its nonzero entries
+are the candidate pairs the restriction reads. The matching is computed on
+first use of `Assignment.pairs`: an exact maximum-total-membership one-to-one
+matching. Among equally optimal matchings the preferred one takes candidate
+pairs in order of descending membership, then earlier event, then earlier
+detection, keeping each pair that still leaves the optimum reachable, which
+makes the matched-pair set deterministic.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +37,6 @@ from .errors import ConfigError
 from .labels import ENDING, ONSET
 
 _KINDS = (ONSET, ENDING)
-
-# Exact-recursion cutoffs: instances this small are solved by branch
-# enumeration instead of the Hungarian algorithm (less call overhead).
-_SMALL_DEPTH = 4  # recursion side
-_SMALL_WIDTH = 8  # branching side
 
 _TOL = 1e-9
 
@@ -49,30 +49,72 @@ class TimedEvent:
 
 @dataclass
 class Assignment:
-    """Matching plus the candidate structure needed for margin restriction."""
+    """Candidate weights of one association; the matching is solved on first use."""
 
     events: list
     detections: list
-    pairs: list  # [(event_index, detection_index, membership)]
-    event_candidates: list  # per event: detection indices with membership > 0
-    detection_candidates: list  # per detection: event indices with membership > 0
+    weights: np.ndarray  # (events, detections): k - |dt| for candidates, else 0
+    k: float
 
     @property
-    def matched_event_indices(self) -> set:
-        return {ei for ei, _, _ in self.pairs}
+    def event_candidates(self) -> list:
+        """Per event: detection indices with membership > 0."""
+        return [np.flatnonzero(row).tolist() for row in self.weights]
 
     @property
-    def matched_detection_indices(self) -> set:
-        return {di for _, di, _ in self.pairs}
+    def detection_candidates(self) -> list:
+        """Per detection: event indices with membership > 0."""
+        return [np.flatnonzero(col).tolist() for col in self.weights.T]
+
+    @cached_property
+    def pairs(self) -> list:
+        """[(event_index, detection_index, membership)], sorted.
+
+        Candidate pairs are taken in preference order and each is kept when a
+        maximum-total matching of the still-free rows and columns reaches the
+        optimum with it; every check is one Hungarian solve, skipped when the
+        last optimal matching already holds the pair.
+        """
+        w = self.weights
+        rows, cols = np.nonzero(w)
+        if rows.size == 0:
+            return []
+        event_t = np.array([e.t for e in self.events])
+        detection_t = np.array([d.t for d in self.detections])
+        order = np.lexsort((cols, rows, detection_t[cols], event_t[rows], -w[rows, cols]))
+        free_e = np.ones(w.shape[0], dtype=bool)
+        free_d = np.ones(w.shape[1], dtype=bool)
+        partner = np.full(w.shape[0], -1)  # detection of each event in the last optimum
+        r, c = linear_sum_assignment(w, maximize=True)
+        partner[r] = c
+        target = w[r, c].sum()
+        fixed = 0.0
+        pairs = []
+        for ei, di in zip(rows[order].tolist(), cols[order].tolist()):
+            if not (free_e[ei] and free_d[di]):
+                continue
+            free_e[ei] = free_d[di] = False
+            if partner[ei] != di:
+                sub = w[np.ix_(free_e, free_d)]
+                r, c = linear_sum_assignment(sub, maximize=True)
+                if fixed + w[ei, di] + sub[r, c].sum() < target - _TOL:
+                    free_e[ei] = free_d[di] = True
+                    continue
+                partner[free_e] = -1
+                partner[np.flatnonzero(free_e)[r]] = np.flatnonzero(free_d)[c]
+            fixed += w[ei, di]
+            pairs.append((ei, di, float(w[ei, di]) / self.k))
+        pairs.sort()
+        return pairs
 
     @property
     def unmatched_events(self) -> list:
-        used = self.matched_event_indices
+        used = {ei for ei, _, _ in self.pairs}
         return [i for i in range(len(self.events)) if i not in used]
 
     @property
     def unmatched_detections(self) -> list:
-        used = self.matched_detection_indices
+        used = {di for _, di, _ in self.pairs}
         return [i for i in range(len(self.detections)) if i not in used]
 
     def total_membership(self) -> float:
@@ -155,130 +197,24 @@ def _coerce(items) -> list:
     return sorted(out, key=lambda e: (e.t, e.kind))
 
 
-def _max_total_small(weights: dict, events: list, detections: list) -> float:
-    """Exhaustive maximum over one-to-one matchings (tiny instances only)."""
-    if not events or not detections:
-        return 0.0
-    e = events[0]
-    rest = events[1:]
-    best = _max_total_small(weights, rest, detections)
-    for j, d in enumerate(detections):
-        w = weights.get((e, d))
-        if w:
-            best = max(best, w + _max_total_small(weights, rest, detections[:j] + detections[j + 1:]))
-    return best
-
-
-def _max_total(weights: dict, events: list, detections: list) -> float:
-    if not events or not detections:
-        return 0.0
-    if len(detections) < len(events):
-        # matching is symmetric; keep the recursion side the smaller one
-        flipped = {(di, ei): w for (ei, di), w in weights.items()}
-        return _max_total(flipped, detections, events)
-    if len(events) <= _SMALL_DEPTH and len(detections) <= _SMALL_WIDTH:
-        return _max_total_small(weights, events, detections)
-    epos = {e: i for i, e in enumerate(events)}
-    dpos = {d: i for i, d in enumerate(detections)}
-    matrix = np.zeros((len(events), len(detections)))
-    for (ei, di), w in weights.items():
-        if ei in epos and di in dpos:
-            matrix[epos[ei], dpos[di]] = w
-    rows, cols = linear_sum_assignment(matrix, maximize=True)
-    return float(matrix[rows, cols].sum())
-
-
-def _components(event_ids, det_ids, weights):
-    """Connected components of the candidate-pair bipartite graph."""
-    adj_e = {e: [] for e in event_ids}
-    adj_d = {d: [] for d in det_ids}
-    for (ei, di) in weights:
-        adj_e[ei].append(di)
-        adj_d[di].append(ei)
-    seen_e, seen_d = set(), set()
-    comps = []
-    for start in event_ids:
-        if start in seen_e:
-            continue
-        comp_e, comp_d = [], []
-        stack = [("e", start)]
-        seen_e.add(start)
-        while stack:
-            side, node = stack.pop()
-            if side == "e":
-                comp_e.append(node)
-                for d in adj_e[node]:
-                    if d not in seen_d:
-                        seen_d.add(d)
-                        stack.append(("d", d))
-            else:
-                comp_d.append(node)
-                for e in adj_d[node]:
-                    if e not in seen_e:
-                        seen_e.add(e)
-                        stack.append(("e", e))
-        comps.append((comp_e, comp_d))
-    return comps
-
-
 def associate(events, detections, k) -> Assignment:
     """Exact max-membership one-to-one matching, same-kind only.
 
-    Candidate sets (everything with positive membership) are retained for the
-    windowed restriction. Weights are k - |dt|, integer-valued for integer
-    inputs, so optimality tests are exact.
+    Weights are k - |dt|, integer-valued for integer inputs, so optimality
+    tests are exact. The matching itself is computed when `.pairs` is first
+    read; the restriction needs only the candidate weights.
     """
+    if k <= 0:
+        raise ConfigError(f"tolerance k must be positive, got {k}")
     evs = _coerce(events)
     dets = _coerce(detections)
-    weights = {}
-    event_candidates = [[] for _ in evs]
-    detection_candidates = [[] for _ in dets]
-    for ei, e in enumerate(evs):
-        for di, d in enumerate(dets):
-            if e.kind != d.kind:
-                continue
-            dist = abs(d.t - e.t)
-            if dist < k:
-                weights[(ei, di)] = k - dist
-                event_candidates[ei].append(di)
-                detection_candidates[di].append(ei)
-
-    pairs = []
-    for comp_e, comp_d in _components(range(len(evs)), range(len(dets)), weights):
-        if not comp_e or not comp_d:
-            continue
-        target = _max_total(weights, comp_e, comp_d)
-        if target <= 0.0:
-            continue
-        # Preference order among optimal matchings: highest membership first,
-        # then smaller |dt|, then earlier event, then earlier detection.
-        order = sorted(
-            ((w, ei, di) for (ei, di), w in weights.items() if ei in comp_e and di in comp_d),
-            key=lambda item: (-item[0], evs[item[1]].t, dets[item[2]].t),
-        )
-        avail_e = list(comp_e)
-        avail_d = list(comp_d)
-        fixed = 0.0
-        for w, ei, di in order:
-            if ei not in avail_e or di not in avail_d:
-                continue
-            rest_e = [e for e in avail_e if e != ei]
-            rest_d = [d for d in avail_d if d != di]
-            if fixed + w + _max_total(weights, rest_e, rest_d) >= target - _TOL:
-                pairs.append((ei, di, w / k))
-                avail_e = rest_e
-                avail_d = rest_d
-                fixed += w
-            if not avail_e or not avail_d:
-                break
-    pairs.sort()
-    return Assignment(
-        events=evs,
-        detections=dets,
-        pairs=pairs,
-        event_candidates=event_candidates,
-        detection_candidates=detection_candidates,
-    )
+    event_t = np.array([e.t for e in evs], dtype=np.float64)
+    detection_t = np.array([d.t for d in dets], dtype=np.float64)
+    weights = np.maximum(k - np.abs(event_t[:, None] - detection_t[None, :]), 0.0)
+    event_onset = np.array([e.kind == ONSET for e in evs], dtype=bool)
+    detection_onset = np.array([d.kind == ONSET for d in dets], dtype=bool)
+    weights[event_onset[:, None] != detection_onset[None, :]] = 0.0
+    return Assignment(events=evs, detections=dets, weights=weights, k=k)
 
 
 def valid_range(n_time: int, h: int) -> range:
@@ -288,26 +224,21 @@ def valid_range(n_time: int, h: int) -> range:
     return range(h, n_time - h)
 
 
-def _in_range(t: float, valid: range) -> bool:
-    return valid.start <= t < valid.stop
-
-
 def restrict(assignment: Assignment, valid: range):
     """Events/detections kept for scoring: inside the valid range, with every
     candidate partner inside it too. Returns (events, detections)."""
-    events = [
-        e
-        for ei, e in enumerate(assignment.events)
-        if _in_range(e.t, valid)
-        and all(_in_range(assignment.detections[di].t, valid) for di in assignment.event_candidates[ei])
-    ]
-    detections = [
-        d
-        for di, d in enumerate(assignment.detections)
-        if _in_range(d.t, valid)
-        and all(_in_range(assignment.events[ei].t, valid) for ei in assignment.detection_candidates[di])
-    ]
-    return events, detections
+
+    def inside(items):
+        t = np.array([x.t for x in items], dtype=np.float64)
+        return (valid.start <= t) & (t < valid.stop)
+
+    event_in = inside(assignment.events)
+    detection_in = inside(assignment.detections)
+    candidate = assignment.weights > 0
+    keep_e = event_in & ~(candidate & ~detection_in[None, :]).any(axis=1)
+    keep_d = detection_in & ~(candidate & ~event_in[:, None]).any(axis=0)
+    return ([e for e, keep in zip(assignment.events, keep_e) if keep],
+            [d for d, keep in zip(assignment.detections, keep_d) if keep])
 
 
 def confusion_from_assignment(assignment: Assignment, n_time: int) -> SoftConfusion:

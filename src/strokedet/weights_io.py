@@ -56,12 +56,12 @@ def load_arrays(path) -> dict:
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: bad magic, not a weights container")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported container version {version}")
     offset = 12
     arrays = {}
     try:
+        version, count = struct.unpack_from("<II", blob, 4)
+        if version != VERSION:
+            raise DataError(f"{path}: unsupported container version {version}")
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", blob, offset)
             offset += 4

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from strokedet.cli import main
+from strokedet.weights_io import load_arrays, save_arrays
 
 TINY = [
     "n_athletes=4", "runs_per_athlete=1", "run_duration=7",
@@ -179,6 +180,49 @@ def test_truncated_events_line_exit_code(workspace, tmp_path):
     text = events.read_text()
     events.write_text(text[:text.rindex("}")])  # cut the last record short
     assert main(["preprocess"] + tiny_args(["--data", str(raw), "--out", str(tmp_path / "d")])) == 3
+
+
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+
+
+def _drop_last_meta_window(path):
+    meta = json.loads(path.read_text())
+    meta["windows"].pop()
+    path.write_text(json.dumps(meta))
+
+
+def _set_first_event(column, value):
+    def corrupt(path):
+        arrays = load_arrays(path)
+        arrays[column][0] = value
+        save_arrays(path, arrays)
+    return corrupt
+
+
+@pytest.mark.parametrize("stage, name, corrupt", [
+    ("raw", "manifest.json", _truncate),
+    ("data", "windows.meta.json", _truncate),
+    ("data", "windows.meta.json", lambda path: path.write_text("{}")),
+    ("data", "windows.meta.json", _drop_last_meta_window),
+    ("data", "split.json", _truncate),
+    ("data", "windows.bin", _set_first_event("event_sign", 0.0)),
+    ("data", "windows.bin", _set_first_event("event_t", np.nan)),
+    ("data", "windows.bin", _set_first_event("event_window", -1.0)),
+    ("data", "windows.bin", _set_first_event("event_window", 1e6)),
+], ids=["truncated_manifest", "truncated_meta", "empty_meta", "meta_window_missing", "truncated_split",
+        "event_sign_zero", "event_t_nan", "event_window_negative", "event_window_past_end"])
+def test_malformed_dataset_file_exit_code(workspace, tmp_path, stage, name, corrupt):
+    copy = tmp_path / stage
+    shutil.copytree(workspace / stage, copy)
+    corrupt(copy / name)
+    if stage == "raw":
+        args = ["preprocess"] + tiny_args(["--data", str(copy), "--out", str(tmp_path / "d")])
+    else:
+        args = ["evaluate"] + tiny_args(["--data", str(copy), "--predict-from-labels",
+                                         "--out", str(tmp_path / "o")])
+    assert main(args) == 3
 
 
 def test_bad_config_key_exit_code(tmp_path):

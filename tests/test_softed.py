@@ -47,6 +47,41 @@ def brute_force_max_membership(events, detections, k):
     return best
 
 
+def preferred_matching(events, detections, k):
+    """Brute-force oracle for the tie-break contract.
+
+    Enumerates every one-to-one same-kind matching, keeps those of maximum
+    total membership, and returns the one whose sorted preference ranks are
+    lexicographically smallest, as sorted (event, detection, membership)
+    triples. Preference: higher weight, then earlier event, then earlier
+    detection, then lower event and detection index.
+    """
+    events = sorted((float(t), kind) for t, kind in events)
+    detections = sorted((float(t), kind) for t, kind in detections)
+    weight = {
+        (ei, di): k - abs(d[0] - e[0])
+        for ei, e in enumerate(events)
+        for di, d in enumerate(detections)
+        if e[1] == d[1] and abs(d[0] - e[0]) < k
+    }
+    order = sorted(weight, key=lambda p: (-weight[p], events[p[0]][0], detections[p[1]][0], p))
+    rank = {p: r for r, p in enumerate(order)}
+    matchings = [
+        combo
+        for size in range(min(len(events), len(detections)) + 1)
+        for combo in itertools.combinations(sorted(weight), size)
+        if len({ei for ei, _ in combo}) == size == len({di for _, di in combo})
+    ]
+    best = max(sum(weight[p] for p in m) for m in matchings)
+    optimal = [m for m in matchings if sum(weight[p] for p in m) >= best - 1e-9]
+    chosen = min(optimal, key=lambda m: sorted(rank[p] for p in m))
+    return sorted((ei, di, weight[(ei, di)] / k) for ei, di in chosen)
+
+
+_TIMES = st.one_of(st.integers(0, 30), st.floats(0, 30, allow_nan=False, allow_infinity=False))
+_ENTITIES = st.lists(st.tuples(_TIMES, st.sampled_from([ONSET, ENDING])), max_size=4)
+
+
 class TestMembership:
     def test_exact_hit(self):
         assert membership(100, 100, 15) == 1.0
@@ -108,6 +143,18 @@ class TestAssociate:
         a = associate(events, detections, 15)
         expected = brute_force_max_membership(sorted(events), sorted(detections), 15)
         assert a.total_membership() == pytest.approx(expected, abs=1e-9)
+
+    @given(_ENTITIES, _ENTITIES)
+    @settings(max_examples=300, deadline=None)
+    def test_tie_break_matches_brute_force_preference(self, events, detections):
+        assert associate(events, detections, 15).pairs == preferred_matching(events, detections, 15)
+
+    @pytest.mark.parametrize("k", [0, -15])
+    def test_bad_tolerance_rejected(self, k):
+        with pytest.raises(ConfigError):
+            associate([100], [100], k)
+        with pytest.raises(ConfigError):
+            soft_confusion([100], [100], 1000, k)
 
     def test_candidate_sets_recorded(self):
         a = associate([100], [90, 108, 200], 15)

@@ -59,6 +59,16 @@ def test_truncated_rejected(tmp_path):
         load_arrays(path)
 
 
+def test_every_truncation_rejected(tmp_path):
+    path = tmp_path / "w.bin"
+    save_arrays(path, {"a": np.zeros((2, 3)), "bb": np.ones(4, dtype=np.float32)})
+    blob = path.read_bytes()
+    for length in range(len(blob)):
+        path.write_bytes(blob[:length])
+        with pytest.raises(DataError):
+            load_arrays(path)
+
+
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(DataError):
         save_arrays(tmp_path / "w.bin", {"a": np.zeros(3, dtype=np.int32)})
