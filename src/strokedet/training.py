@@ -131,6 +131,8 @@ def train_model(spec: ArchitectureSpec, dataset, cfg: TrainConfig, val_dataset=N
 
 def predict_batch(spec: ArchitectureSpec, params: dict, windows, batch_size: int = 32) -> np.ndarray:
     """Model outputs for a stack of windows, shape (n, time)."""
+    if batch_size <= 0:
+        raise ConfigError(f"batch_size must be positive, got {batch_size}")
     X = np.asarray(windows, dtype=np.float64)
     if X.ndim == 2:
         X = X[:, :, None]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from strokedet.architectures import build_architecture, init_params
 from strokedet.cli import main
 from strokedet.weights_io import load_arrays, save_arrays
 
@@ -223,6 +224,16 @@ def test_malformed_dataset_file_exit_code(workspace, tmp_path, stage, name, corr
         args = ["evaluate"] + tiny_args(["--data", str(copy), "--predict-from-labels",
                                          "--out", str(tmp_path / "o")])
     assert main(args) == 3
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_non_positive_batch_size_exit_code(workspace, tmp_path, batch_size):
+    weights = tmp_path / "w.bin"
+    save_arrays(weights, init_params(build_architecture("gruc1"), 0))
+    assert main(["evaluate"] + tiny_args([
+        "--data", str(workspace / "data"), "--weights", str(weights),
+        "--out", str(tmp_path / "o"), "--set", f"batch_size={batch_size}",
+    ])) == 2
 
 
 def test_bad_config_key_exit_code(tmp_path):

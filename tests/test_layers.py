@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from strokedet.architectures import (
     ArchitectureSpec,
@@ -24,6 +25,55 @@ def gru_params(rng, cin, h):
         "bw": rng.uniform(-1, 1, 3 * h),
         "bu": rng.uniform(-1, 1, 3 * h),
     }
+
+
+def reference_gru_forward(params, x, h0=None):
+    """Per-step GRU with batch-major caches: the exact operation order `GRU` keeps."""
+    b, t, _ = x.shape
+    h = params["U"].shape[0]
+    gx = x @ params["W"] + params["bw"]
+    hidden = np.zeros((b, h)) if h0 is None else np.broadcast_to(h0, (b, h)).astype(np.float64)
+    cache = {key: np.empty((b, t, h)) for key in ("hprev", "z", "r", "n", "ghn")}
+    out = np.empty((b, t, h))
+    for step in range(t):
+        gh = hidden @ params["U"] + params["bu"]
+        zr = expit(gx[:, step, :2 * h] + gh[:, :2 * h])
+        z, r = zr[:, :h], zr[:, h:]
+        n = np.tanh(gx[:, step, 2 * h:] + r * gh[:, 2 * h:])
+        for key, value in (("hprev", hidden), ("z", z), ("r", r), ("n", n), ("ghn", gh[:, 2 * h:])):
+            cache[key][:, step] = value
+        hidden = z * hidden + (1.0 - z) * n
+        out[:, step] = hidden
+    return out, cache
+
+
+def reference_gru_backward(params, x, cache, gy):
+    """(dx, grads) for `reference_gru_forward`, one step at a time."""
+    b, t, h = gy.shape
+    dgx = np.empty((b, t, 3 * h))
+    dgh = np.empty((b, t, 3 * h))
+    dh = np.zeros((b, h))
+    for step in range(t - 1, -1, -1):
+        dht = gy[:, step] + dh
+        z, r, n, hp, gn = (cache[key][:, step] for key in ("z", "r", "n", "hprev", "ghn"))
+        dz = dht * (hp - n)
+        dn = dht * (1.0 - z)
+        dh = dht * z
+        dan = dn * (1.0 - n * n)
+        dr = dan * gn
+        daz = dz * z * (1.0 - z)
+        dar = dr * r * (1.0 - r)
+        dgx[:, step] = np.concatenate([daz, dar, dan], axis=1)
+        dgh[:, step] = np.concatenate([daz, dar, dan * r], axis=1)
+        dh += dgh[:, step] @ params["U"].T
+    bt = b * t
+    grads = {
+        "W": x.reshape(bt, -1).T @ dgx.reshape(bt, -1),
+        "U": cache["hprev"].reshape(bt, -1).T @ dgh.reshape(bt, -1),
+        "bw": dgx.sum(axis=(0, 1)),
+        "bu": dgh.sum(axis=(0, 1)),
+    }
+    return dgx @ params["W"].T, grads
 
 
 def run(layer, x, **kwargs):
@@ -154,6 +204,23 @@ class TestGruForward:
         out = run(make_gru(params), rng.uniform(-1, 1, (6, 2)), h0=h0)
         np.testing.assert_array_equal(out, np.tile(h0, (6, 1)))
 
+    @pytest.mark.parametrize("with_h0", [False, True])
+    def test_matches_per_step_reference_exactly(self, with_h0):
+        rng = np.random.default_rng(11)
+        b, t, cin, h = 3, 7, 2, 4
+        params = gru_params(rng, cin, h)
+        x = rng.uniform(-1, 1, (b, t, cin))
+        h0 = rng.uniform(-1, 1, h) if with_h0 else None
+        layer = make_gru(params)
+        expected, cache = reference_gru_forward(params, x, h0)
+        out = layer.forward(x, h0=h0)
+        np.testing.assert_array_equal(out, expected)
+        gy = rng.uniform(-1, 1, out.shape)
+        expected_dx, expected_grads = reference_gru_backward(params, x, cache, gy)
+        np.testing.assert_array_equal(layer.backward(gy), expected_dx)
+        for key in ("W", "U", "bw", "bu"):
+            np.testing.assert_array_equal(layer.grads[key], expected_grads[key])
+
     def test_non_finite_input_rejected(self):
         spec = build_architecture("gruc1")
         x = np.zeros(1000)
@@ -177,6 +244,24 @@ class TestBidirectionalForward:
         params["layer00.bgru.bwd.U"] = np.zeros((3, 9))
         with pytest.raises(ConfigError):
             Model(spec).bind(params)
+
+    @pytest.mark.parametrize("b, t, cin, h", [(3, 7, 2, 4), (32, 50, 1, 64)])
+    def test_concurrent_directions_match_serial(self, b, t, cin, h):
+        rng = np.random.default_rng(12)
+        layer = make_bigru(gru_params(rng, cin, h), gru_params(rng, cin, h))
+        x = rng.uniform(-1, 1, (b, t, cin))
+        out = layer.forward(x)
+        serial = np.concatenate(
+            [layer.fwd.forward(x), layer.bwd.forward(x[:, ::-1])[:, ::-1]], axis=2
+        )
+        np.testing.assert_array_equal(out, serial)
+
+    def test_error_in_helper_thread_reaches_caller(self):
+        rng = np.random.default_rng(13)
+        layer = make_bigru(gru_params(rng, 2, 4), gru_params(rng, 2, 4))
+        with pytest.raises(ConfigError):
+            layer.forward(np.zeros((2, 5, 3)))
+        assert layer.forward(np.zeros((2, 5, 2))).shape == (2, 5, 8)
 
     def test_output_width_doubles(self):
         rng = np.random.default_rng(8)
