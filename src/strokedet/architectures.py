@@ -13,6 +13,12 @@ layer-table label. Counts are computed without allocating weights:
     dense:    in*out + out            (flatten mode: in = time*channels)
     gru:      3*h*(in+h) + 6*h        (reset-after, separate biases)
     bgru:     twice the gru count; the next layer sees 2*h input channels
+
+`Model` is the one execution path from windows to outputs and gradients:
+it binds a params dict at construction, `as_windows` is its input contract,
+`Model.predict` runs batched inference and `Model.mse_step` the forward ->
+mean squared error -> backward step. `training`, `model_forward` and
+`mse_loss_and_grads` all call into it.
 """
 
 from __future__ import annotations
@@ -272,25 +278,32 @@ def init_params(spec: ArchitectureSpec, seed: int, allow_large: bool = False) ->
     return params
 
 
-class Model:
-    """Layer objects assembled from a spec, sharing arrays with a params dict."""
+def as_windows(windows) -> np.ndarray:
+    """(n, time) or (n, time, 1) windows as the float64 (n, time, 1) model input."""
+    x = np.asarray(windows, dtype=np.float64)
+    if x.ndim == 2:
+        x = x[:, :, None]
+    if x.ndim != 3 or x.shape[2] != 1:
+        raise ConfigError(f"windows must be (n, time) or (n, time, 1), got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise NumericError("non-finite values in model input")
+    return x
 
-    def __init__(self, spec: ArchitectureSpec):
+
+class Model:
+    """Layer objects assembled from a spec, bound to the arrays of `params`
+    (shared, not copied: updating `params` in place updates the model)."""
+
+    def __init__(self, spec: ArchitectureSpec, params: dict):
         self.spec = spec
         self.layers = [layer_kind(layer.kind).build(layer, spec.input_length) for layer in spec.layers]
         self.prefixes = [layer_prefix(i, layer) for i, layer in enumerate(spec.layers)]
-
-    def param_names(self) -> list:
-        return [f"{prefix}.{key}" for prefix, obj in zip(self.prefixes, self.layers) for key in obj.params]
-
-    def bind(self, params: dict) -> None:
-        """Point every layer at the arrays in `params` (shared, not copied)."""
-        expected = set(self.param_names())
+        expected = {f"{prefix}.{key}" for prefix, obj in zip(self.prefixes, self.layers) for key in obj.params}
         if expected != set(params):
             missing = expected - set(params)
             extra = set(params) - expected
             raise ConfigError(
-                f"params do not match {self.spec.name}: missing {sorted(missing)}, extra {sorted(extra)}"
+                f"params do not match {spec.name}: missing {sorted(missing)}, extra {sorted(extra)}"
             )
         for prefix, obj in zip(self.prefixes, self.layers):
             for key in list(obj.params):
@@ -317,36 +330,41 @@ class Model:
         return {f"{prefix}.{key}": value for prefix, obj in zip(self.prefixes, self.layers)
                 for key, value in obj.grads.items()}
 
+    def predict(self, windows, batch_size: int) -> np.ndarray:
+        """Outputs (n, time) for windows accepted by `as_windows`, `batch_size` at a time."""
+        if batch_size <= 0:
+            raise ConfigError(f"batch_size must be positive, got {batch_size}")
+        x = as_windows(windows)
+        outputs = [self.forward(x[lo:lo + batch_size]) for lo in range(0, len(x), batch_size)]
+        return np.concatenate(outputs, axis=0) if outputs else np.empty(x.shape[:2])
+
+    def mse_step(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Mean squared error of the batch `x` against `y`, (batch, time).
+
+        When the loss is finite, also backpropagates it, filling `gradients()`.
+        """
+        pred = self.forward(x)
+        loss = float(np.mean((pred - y) ** 2))
+        if np.isfinite(loss):
+            self.backward(2.0 * (pred - y) / pred.size)
+        return loss
+
 
 def model_forward(spec: ArchitectureSpec, params: dict, window) -> np.ndarray:
     """One value per sample for a single (time,) or (time, 1) window."""
-    x = np.asarray(window, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[1] != 1:
-        raise ConfigError(f"window must be (time,) or (time, 1), got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise NumericError("non-finite values in model input")
-    model = Model(spec)
-    model.bind(params)
-    return model.forward(x[None])[0]
+    return Model(spec, params).predict(np.asarray(window)[None], batch_size=1)[0]
 
 
 def mse_loss_and_grads(spec: ArchitectureSpec, params: dict, window, target):
     """Mean squared error over the window and gradients for every parameter."""
-    x = np.asarray(window, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_windows(np.asarray(window)[None])
     y = np.asarray(target, dtype=np.float64)
-    if y.shape != (x.shape[0],):
-        raise ConfigError(f"target shape {y.shape} does not match window length {x.shape[0]}")
-    model = Model(spec)
-    model.bind(params)
-    pred = model.forward(x[None])
-    loss = float(np.mean((pred[0] - y) ** 2))
+    if y.shape != (x.shape[1],):
+        raise ConfigError(f"target shape {y.shape} does not match window length {x.shape[1]}")
+    model = Model(spec, params)
+    loss = model.mse_step(x, y[None])
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss in {spec.name} forward pass")
-    model.backward(2.0 * (pred - y[None]) / y.size)
     grads = model.gradients()
     for name, g in grads.items():
         if not np.isfinite(g).all():

@@ -114,6 +114,8 @@ def cmd_train(args) -> int:
 
 
 def _window_outputs(ds: pl.WindowDataset, indices, cfg: PipelineConfig, args) -> np.ndarray:
+    if not indices:
+        raise DataError(f"partition {args.partition!r} contains no windows")
     if getattr(args, "predict_from_labels", False):
         return ds.Y[indices]
     if args.weights is None:
@@ -156,8 +158,6 @@ def cmd_evaluate(args) -> int:
     cfg = _config(args)
     ds = pl.load_dataset(args.data)
     indices = ds.partition_indices(args.partition)
-    if not indices:
-        raise DataError(f"partition {args.partition!r} contains no windows")
     outputs = _window_outputs(ds, indices, cfg, args)
     result = _evaluate(ds, indices, outputs, cfg)
     out_dir = Path(args.out)

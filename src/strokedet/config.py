@@ -40,6 +40,7 @@ Defaults (also the documented reference):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -127,13 +128,12 @@ _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 def _convert(key: str, raw: str):
     kind = _FIELD_TYPES[key]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        value = {"int": int, "float": float}.get(kind, str)(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind}") from exc
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"config key {key}: {raw!r} is not a finite number")
+    return value
 
 
 def apply_setting(cfg: PipelineConfig, key: str, raw: str) -> None:

@@ -48,7 +48,7 @@ def _relu_margin(layer, x) -> float:
     if not (isinstance(layer, Conv1D) and layer.activation == "relu"):
         return np.inf
     layer.forward(x)
-    _, a, _ = layer._cache
+    _, a = layer._cache
     return float(np.abs(a).min())
 
 

@@ -46,33 +46,22 @@ from scipy.special import expit as _sigmoid
 
 from .errors import ConfigError
 
-ACTIVATIONS = ("relu", "tanh", "linear")
+# name -> (activation of the pre-activation a, gradient w.r.t. a given gy)
+ACTIVATIONS = {
+    "relu": (lambda a: np.maximum(a, 0.0), lambda a, gy: gy * (a > 0.0)),
+    "linear": (lambda a: a, lambda a, gy: gy),
+}
 
 # Runs BiGRU's reverse direction. One long-lived thread rather than one per
 # call: threads started per call raised peak memory in some benchmark runs.
 _REVERSE = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bigru-reverse")
 
 
-def _check_activation(name: str) -> str:
-    if name not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {name!r}")
-    return name
-
-
-def _apply_activation(name: str, a: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(a, 0.0)
-    if name == "tanh":
-        return np.tanh(a)
-    return a
-
-
-def _activation_grad(name: str, a: np.ndarray, y: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return gy * (a > 0.0)
-    if name == "tanh":
-        return gy * (1.0 - y * y)
-    return gy
+def _activation(name: str) -> tuple:
+    try:
+        return ACTIVATIONS[name]
+    except KeyError:
+        raise ConfigError(f"unknown activation {name!r}") from None
 
 
 class Conv1D:
@@ -85,7 +74,8 @@ class Conv1D:
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.activation = _check_activation(activation)
+        self.activation = activation
+        self._act, self._act_grad = _activation(activation)
         self.params = {
             "kernel": np.zeros((kernel_size, in_channels, out_channels)),
             "bias": np.zeros(out_channels),
@@ -105,16 +95,15 @@ class Conv1D:
         a = np.broadcast_to(self.params["bias"], (b, t, self.out_channels)).copy()
         for j in range(self.kernel_size):
             a += xp[:, j:j + t] @ kernel[j]
-        y = _apply_activation(self.activation, a)
-        self._cache = (xp, a, y)
-        return y
+        self._cache = (xp, a)
+        return self._act(a)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        xp, a, y = self._cache
+        xp, a = self._cache
         kernel = self.params["kernel"]
         b, t, _ = gy.shape
         pad = (self.kernel_size - 1) // 2
-        da = _activation_grad(self.activation, a, y, gy)
+        da = self._act_grad(a, gy)
         dkernel = np.empty_like(kernel)
         dxp = np.zeros_like(xp)
         for j in range(self.kernel_size):
@@ -131,7 +120,8 @@ class DenseFlatten:
         self.in_time = in_time
         self.in_channels = in_channels
         self.out_units = out_units
-        self.activation = _check_activation(activation)
+        self.activation = activation
+        self._act, self._act_grad = _activation(activation)
         self.params = {
             "weight": np.zeros((in_time * in_channels, out_units)),
             "bias": np.zeros(out_units),
@@ -147,14 +137,13 @@ class DenseFlatten:
         b = x.shape[0]
         xf = x.reshape(b, -1)
         a = xf @ self.params["weight"] + self.params["bias"]
-        y = _apply_activation(self.activation, a)
-        self._cache = (xf, a, y)
-        return y.reshape(b, self.out_units, 1)
+        self._cache = (xf, a)
+        return self._act(a).reshape(b, self.out_units, 1)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        xf, a, y = self._cache
+        xf, a = self._cache
         b = gy.shape[0]
-        da = _activation_grad(self.activation, a, y, gy.reshape(b, self.out_units))
+        da = self._act_grad(a, gy.reshape(b, self.out_units))
         self.grads = {"weight": xf.T @ da, "bias": da.sum(axis=0)}
         dx = da @ self.params["weight"].T
         return dx.reshape(b, self.in_time, self.in_channels)
@@ -166,7 +155,8 @@ class DenseTimeDistributed:
     def __init__(self, in_channels: int, out_units: int, activation: str = "linear"):
         self.in_channels = in_channels
         self.out_units = out_units
-        self.activation = _check_activation(activation)
+        self.activation = activation
+        self._act, self._act_grad = _activation(activation)
         self.params = {
             "weight": np.zeros((in_channels, out_units)),
             "bias": np.zeros(out_units),
@@ -180,13 +170,12 @@ class DenseTimeDistributed:
                 f"dense(timedistributed) expects (batch, time, {self.in_channels}), got {x.shape}"
             )
         a = x @ self.params["weight"] + self.params["bias"]
-        y = _apply_activation(self.activation, a)
-        self._cache = (x, a, y)
-        return y
+        self._cache = (x, a)
+        return self._act(a)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        x, a, y = self._cache
-        da = _activation_grad(self.activation, a, y, gy)
+        x, a = self._cache
+        da = self._act_grad(a, gy)
         b, t, _ = x.shape
         self.grads = {
             "weight": x.reshape(b * t, -1).T @ da.reshape(b * t, -1),

@@ -197,6 +197,12 @@ def load_dataset(data_dir) -> WindowDataset:
         event_columns = arrays["event_window"], arrays["event_t"], arrays["event_sign"]
     except KeyError as exc:
         raise DataError(f"{bin_path}: missing array {exc}") from exc
+    if X.ndim != 2 or X.shape != Y.shape or X.shape[1] != window_length:
+        raise DataError(
+            f"{bin_path}: X {X.shape} and Y {Y.shape} must both be (windows, {window_length})"
+        )
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise DataError(f"{bin_path}: non-finite values in X or Y")
     n = X.shape[0]
     if len(windows) != n:
         raise DataError(f"{meta_path}: lists {len(windows)} windows, {bin_path} holds {n}")

@@ -220,12 +220,22 @@ def write_split_json(plan: SplitPlan, path) -> None:
 
 
 def read_split_json(path) -> SplitPlan:
+    """The plan `write_split_json` wrote; as `subject_aware_split` makes them,
+    2 <= n_folds <= athletes and every label is 'holdout' or 'fold<i>', i < n_folds."""
     try:
         payload = json.loads(Path(path).read_text())
-        return SplitPlan(
+        plan = SplitPlan(
             assignments=dict(payload["assignments"]),
             seed=int(payload["seed"]),
             n_folds=int(payload["n_folds"]),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise DataError(f"{path}: not a valid split plan: {exc}") from exc
+    if not 2 <= plan.n_folds <= len(plan.assignments):
+        raise DataError(f"{path}: n_folds {plan.n_folds} outside [2, {len(plan.assignments)} athletes]")
+    labels = {HOLDOUT, *(f"fold{i}" for i in range(plan.n_folds))}
+    for athlete, label in plan.assignments.items():
+        if not isinstance(label, str) or label not in labels:
+            raise DataError(f"{path}: athlete {athlete!r} has label {label!r}, "
+                            f"not holdout or fold0..fold{plan.n_folds - 1}")
+    return plan

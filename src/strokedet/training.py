@@ -3,6 +3,10 @@
 Training is a pure function of (architecture, dataset, config): weight init,
 shuffling, and batch reduction order are all derived from the config seed, so
 identical inputs give bit-identical weights.
+
+Every forward and backward pass goes through `architectures.Model`, the one
+execution path: `Model.mse_step` is the training step and `Model.predict`
+the batched inference behind `predict_batch`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .architectures import ArchitectureSpec, Model, init_params
+from .architectures import ArchitectureSpec, Model, as_windows, init_params
 from .errors import ConfigError, NumericError
 
 ADAM_BETA1 = 0.9
@@ -46,16 +50,11 @@ class TrainingDiverged(NumericError):
 
 
 def _stack_dataset(dataset):
-    xs, ys = [], []
-    for window, target in dataset:
-        x = np.asarray(window, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
-        xs.append(x)
-        ys.append(np.asarray(target, dtype=np.float64))
-    if not xs:
+    pairs = list(dataset)
+    if not pairs:
         raise ConfigError("training dataset is empty")
-    return np.stack(xs), np.stack(ys)
+    windows, targets = zip(*pairs)
+    return as_windows(windows), np.asarray(targets, dtype=np.float64)
 
 
 def _eval_loss(model: Model, X: np.ndarray, Y: np.ndarray, batch_size: int) -> float:
@@ -72,21 +71,18 @@ def train_model(spec: ArchitectureSpec, dataset, cfg: TrainConfig, val_dataset=N
                 allow_large: bool = False):
     """Returns (params, history); history rows are (epoch, train_loss, val_loss).
 
-    val_loss is NaN when no validation set is given. Aborts with
-    TrainingDiverged (carrying the history so far) if the loss goes non-finite.
+    `dataset` and `val_dataset` hold (window, target) pairs. val_loss is NaN
+    when no validation set is given. Aborts with TrainingDiverged (carrying
+    the history so far) if the loss goes non-finite.
     """
     X, Y = _stack_dataset(dataset)
-    Xv = Yv = None
-    if val_dataset:
-        Xv, Yv = _stack_dataset(val_dataset)
+    Xv, Yv = _stack_dataset(val_dataset) if val_dataset else (None, None)
 
     params = init_params(spec, cfg.seed, allow_large=allow_large)
-    model = Model(spec)
-    model.bind(params)
-    names = model.param_names()
-
-    adam_m = {n: np.zeros_like(params[n]) for n in names} if cfg.optimizer == "adam" else None
-    adam_v = {n: np.zeros_like(params[n]) for n in names} if cfg.optimizer == "adam" else None
+    model = Model(spec, params)
+    if cfg.optimizer == "adam":
+        adam_m = {n: np.zeros_like(p) for n, p in params.items()}
+        adam_v = {n: np.zeros_like(p) for n, p in params.items()}
     step = 0
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
@@ -96,23 +92,18 @@ def train_model(spec: ArchitectureSpec, dataset, cfg: TrainConfig, val_dataset=N
         running = 0.0
         for lo in range(0, len(X), cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            xb = X[idx]
-            yb = Y[idx]
-            pred = model.forward(xb)
-            batch_loss = float(np.mean((pred - yb) ** 2))
+            batch_loss = model.mse_step(X[idx], Y[idx])
             if not np.isfinite(batch_loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {lo // cfg.batch_size}", history
                 )
             running += batch_loss * len(idx)
-            model.backward(2.0 * (pred - yb) / pred.size)
             grads = model.gradients()
             step += 1
             if cfg.optimizer == "adam":
                 correct1 = 1.0 - ADAM_BETA1 ** step
                 correct2 = 1.0 - ADAM_BETA2 ** step
-                for n in names:
-                    g = grads[n]
+                for n, g in grads.items():
                     adam_m[n] *= ADAM_BETA1
                     adam_m[n] += (1.0 - ADAM_BETA1) * g
                     adam_v[n] *= ADAM_BETA2
@@ -121,8 +112,8 @@ def train_model(spec: ArchitectureSpec, dataset, cfg: TrainConfig, val_dataset=N
                         np.sqrt(adam_v[n] / correct2) + ADAM_EPS
                     )
             else:
-                for n in names:
-                    params[n] -= cfg.learning_rate * grads[n]
+                for n, g in grads.items():
+                    params[n] -= cfg.learning_rate * g
         train_loss = running / len(X)
         val_loss = _eval_loss(model, Xv, Yv, cfg.batch_size) if Xv is not None else float("nan")
         history.append((epoch, train_loss, val_loss))
@@ -131,15 +122,7 @@ def train_model(spec: ArchitectureSpec, dataset, cfg: TrainConfig, val_dataset=N
 
 def predict_batch(spec: ArchitectureSpec, params: dict, windows, batch_size: int = 32) -> np.ndarray:
     """Model outputs for a stack of windows, shape (n, time)."""
-    if batch_size <= 0:
-        raise ConfigError(f"batch_size must be positive, got {batch_size}")
-    X = np.asarray(windows, dtype=np.float64)
-    if X.ndim == 2:
-        X = X[:, :, None]
-    model = Model(spec)
-    model.bind(params)
-    outputs = [model.forward(X[lo:lo + batch_size]) for lo in range(0, len(X), batch_size)]
-    return np.concatenate(outputs, axis=0)
+    return Model(spec, params).predict(windows, batch_size)
 
 
 def save_history_csv(history, path) -> None:

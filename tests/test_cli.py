@@ -194,12 +194,30 @@ def _drop_last_meta_window(path):
     path.write_text(json.dumps(meta))
 
 
-def _set_first_event(column, value):
+def _set_first(column, value):
     def corrupt(path):
         arrays = load_arrays(path)
         arrays[column][0] = value
         save_arrays(path, arrays)
     return corrupt
+
+
+def _drop_target_rows(path):
+    arrays = load_arrays(path)
+    arrays["Y"] = arrays["Y"][:-3]
+    save_arrays(path, arrays)
+
+
+def _edit_split(edit):
+    def corrupt(path):
+        split = json.loads(path.read_text())
+        edit(split)
+        path.write_text(json.dumps(split))
+    return corrupt
+
+
+def _relabel_first_athlete(split):
+    split["assignments"][min(split["assignments"])] = "fold7"
 
 
 @pytest.mark.parametrize("stage, name, corrupt", [
@@ -208,12 +226,17 @@ def _set_first_event(column, value):
     ("data", "windows.meta.json", lambda path: path.write_text("{}")),
     ("data", "windows.meta.json", _drop_last_meta_window),
     ("data", "split.json", _truncate),
-    ("data", "windows.bin", _set_first_event("event_sign", 0.0)),
-    ("data", "windows.bin", _set_first_event("event_t", np.nan)),
-    ("data", "windows.bin", _set_first_event("event_window", -1.0)),
-    ("data", "windows.bin", _set_first_event("event_window", 1e6)),
+    ("data", "split.json", _edit_split(lambda split: split.update(n_folds=0))),
+    ("data", "split.json", _edit_split(_relabel_first_athlete)),
+    ("data", "windows.bin", _set_first("event_sign", 0.0)),
+    ("data", "windows.bin", _set_first("event_t", np.nan)),
+    ("data", "windows.bin", _set_first("event_window", -1.0)),
+    ("data", "windows.bin", _set_first("event_window", 1e6)),
+    ("data", "windows.bin", _drop_target_rows),
+    ("data", "windows.bin", _set_first("X", np.nan)),
 ], ids=["truncated_manifest", "truncated_meta", "empty_meta", "meta_window_missing", "truncated_split",
-        "event_sign_zero", "event_t_nan", "event_window_negative", "event_window_past_end"])
+        "split_zero_folds", "split_unknown_fold", "event_sign_zero", "event_t_nan",
+        "event_window_negative", "event_window_past_end", "targets_short", "window_nan"])
 def test_malformed_dataset_file_exit_code(workspace, tmp_path, stage, name, corrupt):
     copy = tmp_path / stage
     shutil.copytree(workspace / stage, copy)
@@ -234,6 +257,23 @@ def test_non_positive_batch_size_exit_code(workspace, tmp_path, batch_size):
         "--data", str(workspace / "data"), "--weights", str(weights),
         "--out", str(tmp_path / "o"), "--set", f"batch_size={batch_size}",
     ])) == 2
+
+
+@pytest.mark.parametrize("setting", ["run_duration=inf", "run_duration=nan", "learning_rate=nan"])
+def test_non_finite_config_value_exit_code(tmp_path, setting):
+    assert main(["synth", "--set", setting, "--out", str(tmp_path / "raw")]) == 2
+
+
+def test_predict_on_empty_partition_exit_code(workspace, tmp_path):
+    data = tmp_path / "data"
+    assert main(["preprocess"] + tiny_args([
+        "--data", str(workspace / "raw"), "--out", str(data), "--set", "holdout_fraction=0",
+    ])) == 0
+    weights = tmp_path / "w.bin"
+    save_arrays(weights, init_params(build_architecture("gruc1"), 0))
+    assert main(["predict"] + tiny_args([
+        "--data", str(data), "--weights", str(weights), "--out", str(tmp_path / "d.jsonl"),
+    ])) == 3
 
 
 def test_bad_config_key_exit_code(tmp_path):

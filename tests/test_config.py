@@ -38,6 +38,13 @@ def test_bad_value_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["run_duration", "learning_rate"])
+def test_non_finite_float_rejected(key, value):
+    with pytest.raises(ConfigError):
+        load_config(None, overrides=[f"{key}={value}"])
+
+
 def test_missing_equals_rejected(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("epochs 5\n")

@@ -166,7 +166,7 @@ class TestDenseForward:
         with pytest.raises(ConfigError):
             init_params(spec, 0)
         with pytest.raises(ConfigError):
-            Model(spec)
+            Model(spec, {})
 
 
 class TestGruForward:
@@ -243,7 +243,7 @@ class TestBidirectionalForward:
         params = init_params(spec, 0)
         params["layer00.bgru.bwd.U"] = np.zeros((3, 9))
         with pytest.raises(ConfigError):
-            Model(spec).bind(params)
+            Model(spec, params)
 
     @pytest.mark.parametrize("b, t, cin, h", [(3, 7, 2, 4), (32, 50, 1, 64)])
     def test_concurrent_directions_match_serial(self, b, t, cin, h):

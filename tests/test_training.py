@@ -7,6 +7,7 @@ from strokedet.training import (
     TrainConfig,
     TrainingDiverged,
     load_history_csv,
+    predict_batch,
     save_history_csv,
     train_model,
 )
@@ -95,6 +96,12 @@ class TestTrainModel:
         _, history = train_model(TINY_GRU, tiny_dataset(rng, 3), cfg,
                                  val_dataset=tiny_dataset(rng, 2))
         assert all(np.isfinite(row[2]) for row in history)
+
+
+@pytest.mark.parametrize("shape", [(0, 40), (0, 40, 1)])
+def test_predict_batch_on_zero_windows(shape):
+    out = predict_batch(TINY_GRU, init_params(TINY_GRU, 0), np.zeros(shape), batch_size=4)
+    assert out.shape == (0, 40)
 
 
 def test_history_csv_roundtrip(tmp_path):
