@@ -147,7 +147,10 @@ def load_config(path=None, overrides=()) -> PipelineConfig:
     """Defaults, then file values, then `key=value` override strings."""
     cfg = PipelineConfig()
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

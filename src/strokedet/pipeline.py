@@ -27,7 +27,7 @@ DATASET_META = "windows.meta.json"
 SPLIT_FILE = "split.json"
 MANIFEST = "manifest.json"
 
-KIND_FROM_SIGN = {1.0: lb.ONSET, -1.0: lb.ENDING}
+KIND_FROM_SIGN = {sign: kind for kind, sign in lb.KIND_SIGNS.items()}
 
 
 @dataclass
@@ -192,6 +192,14 @@ def load_dataset(data_dir) -> WindowDataset:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{meta_path}: not a valid dataset meta file: {exc}") from exc
     split = rn.read_split_json(data_dir / SPLIT_FILE)
+    for i, entry in enumerate(windows):
+        if not (isinstance(entry, dict) and {"run_id", "athlete_id", "start"} <= entry.keys()
+                and type(entry["start"]) is int):
+            raise DataError(f"{meta_path}: window {i} is not an object with run_id, "
+                            f"athlete_id and an integer start: {entry!r}")
+        if not isinstance(entry["athlete_id"], str) or entry["athlete_id"] not in split.assignments:
+            raise DataError(f"{meta_path}: window {i} athlete {entry['athlete_id']!r} "
+                            f"is not listed in {SPLIT_FILE}")
     try:
         X, Y = arrays["X"], arrays["Y"]
         event_columns = arrays["event_window"], arrays["event_t"], arrays["event_sign"]

@@ -5,6 +5,12 @@ filter, thresholded at the 85th percentile of its positive values (onsets) and
 the 15th percentile of its negative values (endings), reduced to strict local
 extrema, and finally clustered so that near-duplicate detections collapse to
 the strongest one.
+
+Both kinds go through one maxima search on `y = KIND_SIGNS[kind] * x`: endings
+are the maxima of the negated signal, and negation is exact, so no comparison
+changes. The search works on runs of equal values: a run whose two neighbours
+are both lower is a maximum at its lower-half midpoint, and a run touching
+either end of the signal never counts.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .labels import ENDING, ONSET, jsonl_records
+from .labels import ENDING, KIND_SIGNS, ONSET, jsonl_records
 
 
 @dataclass(frozen=True)
@@ -98,27 +104,13 @@ def percentile(values, p: float) -> float:
     return float(np.percentile(x, p))
 
 
-def _local_extrema(x: np.ndarray, find_maxima: bool) -> list:
-    """Indices of strict local extrema; plateaus yield their midpoint (lower half).
-
-    The first and last samples never qualify, including plateaus touching them.
-    """
-    n = x.size
-    extrema = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and x[j + 1] == x[i]:
-            j += 1
-        if i > 0 and j < n - 1:
-            if find_maxima:
-                is_ext = x[i - 1] < x[i] and x[j + 1] < x[i]
-            else:
-                is_ext = x[i - 1] > x[i] and x[j + 1] > x[i]
-            if is_ext:
-                extrema.append((i + j) // 2)
-        i = j + 1
-    return extrema
+def _local_maxima(y: np.ndarray) -> np.ndarray:
+    """Ascending lower-half midpoints of the runs of equal values in `y` whose
+    two neighbouring samples are both lower; runs touching an end never count."""
+    edge = np.flatnonzero(y[1:] != y[:-1])  # last sample of each run but the final one
+    start, end = edge[:-1] + 1, edge[1:]
+    peak = (y[start - 1] < y[start]) & (y[end + 1] < y[end])
+    return (start[peak] + end[peak]) // 2
 
 
 def extract_candidates(filtered, cfg: ExtractorConfig) -> list:
@@ -131,23 +123,15 @@ def extract_candidates(filtered, cfg: ExtractorConfig) -> list:
     if not np.isfinite(x).all():
         raise NumericError("non-finite values in filtered output")
     detections = []
-    positives = x[x > 0.0]
-    if positives.size:
-        upper = percentile(positives, cfg.upper_pct)
-        detections.extend(
-            Detection(t, ONSET, float(x[t]))
-            for t in _local_extrema(x, find_maxima=True)
-            if x[t] > upper
-        )
-    negatives = x[x < 0.0]
-    if negatives.size:
-        lower = percentile(negatives, cfg.lower_pct)
-        detections.extend(
-            Detection(t, ENDING, float(x[t]))
-            for t in _local_extrema(x, find_maxima=False)
-            if x[t] < lower
-        )
-    return sorted(detections, key=lambda d: (d.t, d.kind))
+    for kind, pct in ((ONSET, cfg.upper_pct), (ENDING, cfg.lower_pct)):
+        sign = KIND_SIGNS[kind]
+        y = sign * x
+        side = x[y > 0.0]
+        if side.size:
+            t = _local_maxima(y)
+            t = t[y[t] > sign * percentile(side, pct)]
+            detections += [Detection(ti, kind, s) for ti, s in zip(t.tolist(), x[t].tolist())]
+    return sorted(detections, key=lambda d: d.t)
 
 
 def cluster_detections(detections, radius: int = 5) -> list:
@@ -162,7 +146,7 @@ def cluster_detections(detections, radius: int = 5) -> list:
     if radius < 0:
         raise ConfigError(f"radius must be >= 0, got {radius}")
     result = []
-    for kind in (ONSET, ENDING):
+    for kind in KIND_SIGNS:
         group = []
         chain = sorted((d for d in detections if d.kind == kind), key=lambda d: d.t)
         for det in chain:

@@ -34,9 +34,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError
-from .labels import ENDING, ONSET
-
-_KINDS = (ONSET, ENDING)
+from .labels import KIND_SIGNS, ONSET
 
 _TOL = 1e-9
 
@@ -192,7 +190,7 @@ def _coerce(items) -> list:
         else:
             out.append(TimedEvent(float(item.t), item.kind))
     for ev in out:
-        if ev.kind not in _KINDS:
+        if ev.kind not in KIND_SIGNS:
             raise ConfigError(f"unknown event kind {ev.kind!r}")
     return sorted(out, key=lambda e: (e.t, e.kind))
 

@@ -53,7 +53,10 @@ def save_arrays(path, arrays: dict) -> None:
 
 def load_arrays(path) -> dict:
     """Read back a dict of arrays in file order."""
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read container: {exc}") from exc
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: bad magic, not a weights container")
     offset = 12

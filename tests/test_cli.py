@@ -220,6 +220,22 @@ def _relabel_first_athlete(split):
     split["assignments"][min(split["assignments"])] = "fold7"
 
 
+def _drop_first_athlete(split):
+    del split["assignments"][min(split["assignments"])]
+
+
+def _edit_first_meta_window(edit):
+    def corrupt(path):
+        meta = json.loads(path.read_text())
+        meta["windows"][0] = edit(meta["windows"][0])
+        path.write_text(json.dumps(meta))
+    return corrupt
+
+
+def _without(key):
+    return lambda entry: {k: v for k, v in entry.items() if k != key}
+
+
 @pytest.mark.parametrize("stage, name, corrupt", [
     ("raw", "manifest.json", _truncate),
     ("data", "windows.meta.json", _truncate),
@@ -234,9 +250,16 @@ def _relabel_first_athlete(split):
     ("data", "windows.bin", _set_first("event_window", 1e6)),
     ("data", "windows.bin", _drop_target_rows),
     ("data", "windows.bin", _set_first("X", np.nan)),
+    ("data", "windows.meta.json", _edit_first_meta_window(_without("athlete_id"))),
+    ("data", "windows.meta.json", _edit_first_meta_window(lambda entry: "run01:0")),
+    ("data", "windows.meta.json", _edit_first_meta_window(lambda entry: {**entry, "start": "0"})),
+    ("data", "windows.meta.json", _edit_first_meta_window(lambda entry: {**entry, "athlete_id": "zz"})),
+    ("data", "split.json", _edit_split(_drop_first_athlete)),
 ], ids=["truncated_manifest", "truncated_meta", "empty_meta", "meta_window_missing", "truncated_split",
         "split_zero_folds", "split_unknown_fold", "event_sign_zero", "event_t_nan",
-        "event_window_negative", "event_window_past_end", "targets_short", "window_nan"])
+        "event_window_negative", "event_window_past_end", "targets_short", "window_nan",
+        "meta_window_no_athlete", "meta_window_not_object", "meta_window_text_start",
+        "meta_window_unknown_athlete", "split_athlete_missing"])
 def test_malformed_dataset_file_exit_code(workspace, tmp_path, stage, name, corrupt):
     copy = tmp_path / stage
     shutil.copytree(workspace / stage, copy)
@@ -274,6 +297,30 @@ def test_predict_on_empty_partition_exit_code(workspace, tmp_path):
     assert main(["predict"] + tiny_args([
         "--data", str(data), "--weights", str(weights), "--out", str(tmp_path / "d.jsonl"),
     ])) == 3
+
+
+@pytest.mark.parametrize("weights", ["missing.bin", "."], ids=["missing", "directory"])
+def test_unreadable_weights_exit_code(workspace, tmp_path, weights):
+    assert main(["evaluate"] + tiny_args([
+        "--data", str(workspace / "data"), "--weights", str(tmp_path / weights),
+        "--out", str(tmp_path / "o"),
+    ])) == 3
+
+
+def _write_cfg(content):
+    def make(path):
+        path.write_bytes(content)
+        return path
+    return make
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path,
+    lambda path: path.parent,
+    _write_cfg(b"\xff\xfeseed = 1\n"),
+], ids=["missing", "directory", "not_utf8"])
+def test_unreadable_config_exit_code(tmp_path, make):
+    assert main(["arch", "gruc1", "--config", str(make(tmp_path / "a.cfg"))]) == 2
 
 
 def test_bad_config_key_exit_code(tmp_path):

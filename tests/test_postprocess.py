@@ -133,6 +133,81 @@ class TestExtractCandidates:
                 assert d.score < lower
 
 
+def _local_extrema(x: np.ndarray, find_maxima: bool) -> list:
+    """Indices of strict local extrema; plateaus yield their midpoint (lower half).
+
+    The first and last samples never qualify, including plateaus touching them.
+    """
+    n = x.size
+    extrema = []
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and x[j + 1] == x[i]:
+            j += 1
+        if i > 0 and j < n - 1:
+            if find_maxima:
+                is_ext = x[i - 1] < x[i] and x[j + 1] < x[i]
+            else:
+                is_ext = x[i - 1] > x[i] and x[j + 1] > x[i]
+            if is_ext:
+                extrema.append((i + j) // 2)
+        i = j + 1
+    return extrema
+
+
+def _loop_candidates(x, cfg):
+    """The per-sample scan `extract_candidates` replaced, as (t, kind, score)."""
+    expected = []
+    positives = x[x > 0.0]
+    if positives.size:
+        upper = percentile(positives, cfg.upper_pct)
+        expected += [(t, ONSET, float(x[t])) for t in _local_extrema(x, True) if x[t] > upper]
+    negatives = x[x < 0.0]
+    if negatives.size:
+        lower = percentile(negatives, cfg.lower_pct)
+        expected += [(t, ENDING, float(x[t])) for t in _local_extrema(x, False) if x[t] < lower]
+    return sorted(expected)
+
+
+# runs of equal integers: plateaus anywhere, at either end, or the whole signal
+plateau_signals = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(1, 6)), max_size=40,
+).map(lambda runs: np.array([v for v, n in runs for _ in range(n)][:40], dtype=float))
+float_signals = st.lists(
+    st.floats(-1e3, 1e3, allow_nan=False), max_size=40,
+).map(lambda xs: np.array(xs, dtype=float))
+percentiles = st.floats(1.0, 99.0)
+
+
+class TestExtractCandidatesMatchesLoop:
+    def check(self, x, upper, lower):
+        cfg = ExtractorConfig(upper_pct=upper, lower_pct=lower)
+        dets = extract_candidates(x, cfg)
+        assert all(type(d.t) is int and type(d.score) is float for d in dets)
+        assert [(d.t, d.kind, d.score) for d in dets] == _loop_candidates(x, cfg)
+
+    @given(plateau_signals, percentiles, percentiles)
+    @settings(max_examples=400)
+    def test_integer_signals_with_plateaus(self, x, upper, lower):
+        self.check(x, upper, lower)
+
+    @given(st.integers(-2, 2), st.integers(0, 40))
+    def test_constant_signals(self, value, n):
+        self.check(np.full(n, float(value)), 85.0, 15.0)
+
+    @given(float_signals, percentiles, percentiles)
+    @settings(max_examples=200)
+    def test_float_signals(self, x, upper, lower):
+        self.check(x, upper, lower)
+
+    def test_edge_plateaus_and_lower_midpoint(self):
+        x = np.array([2.0, 2.0, 0.5, 1.0, 1.0, 0.0, -1.0, -1.0, -1.0, -1.0, -0.5, -2.0, -2.0])
+        self.check(x, 1.0, 99.0)
+        dets = extract_candidates(x, ExtractorConfig(upper_pct=1.0, lower_pct=99.0))
+        assert [(d.t, d.kind) for d in dets] == [(3, ONSET), (7, ENDING)]
+
+
 class TestClusterDetections:
     def test_chain_takes_argmax(self):
         dets = [Detection(100, ONSET, 0.5), Detection(103, ONSET, 0.9), Detection(107, ONSET, 0.7)]
