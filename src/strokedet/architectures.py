@@ -17,8 +17,9 @@ layer-table label. Counts are computed without allocating weights:
 `Model` is the one execution path from windows to outputs and gradients:
 it binds a params dict at construction, `as_windows` is its input contract,
 `Model.predict` runs batched inference and `Model.mse_step` the forward ->
-mean squared error -> backward step. `training`, `model_forward` and
-`mse_loss_and_grads` all call into it.
+mean squared error -> backward step, each batch through `shards.executor`,
+which runs the calls of recurrent models row-sharded on worker processes.
+`training`, `model_forward` and `mse_loss_and_grads` all call into it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import shards
 from .errors import ConfigError, NumericError
 from .layers import GRU, BiGRU, Conv1D, DenseFlatten, DenseTimeDistributed
 
@@ -174,6 +176,7 @@ class LayerKind:
     width: int = 1  # output channels per unit
     flattens: bool = False  # consumes the whole window: its table row follows a flatten row
     kernel: bool = False  # uses LayerSpec.kernel_size
+    recurrent: bool = False  # steps through time; see `shardable`
 
 
 KINDS = {
@@ -202,6 +205,7 @@ KINDS = {
         count=lambda l, n: _gru_count(l.in_channels, l.out_units),
         init=lambda rng, l, n: _gru_arrays(rng, l.in_channels, l.out_units),
         build=lambda l, n: GRU(l.in_channels, l.out_units),
+        recurrent=True,
     ),
     BGRU_KIND: LayerKind(
         "bidirectional",
@@ -209,6 +213,7 @@ KINDS = {
         init=_bgru_arrays,
         build=lambda l, n: BiGRU(l.in_channels, l.out_units),
         width=2,
+        recurrent=True,
     ),
 }
 
@@ -314,28 +319,51 @@ class Model:
                     )
                 obj.params[key] = value
 
+    def named_params(self):
+        """(name, bound array) pairs in layer order."""
+        return [(f"{prefix}.{key}", value) for prefix, obj in zip(self.prefixes, self.layers)
+                for key, value in obj.params.items()]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(batch, time, 1) -> (batch, time) model output."""
         for obj in self.layers:
             x = obj.forward(x)
         return x[:, :, 0]
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def backward(self, gy: np.ndarray, outs: list | None = None) -> np.ndarray:
+        """Backpropagates `gy`, (batch, time), through the last `forward`.
+
+        Without `outs` each layer reduces its weight gradients as it goes.
+        With `outs`, one dict of buffers per layer shaped as `reduce_shapes`
+        says, each layer only copies its reduction inputs there for `reduce`.
+        """
         g = gy[:, :, None]
-        for obj in reversed(self.layers):
-            g = obj.backward(g)
+        for i in reversed(range(len(self.layers))):
+            obj = self.layers[i]
+            g = obj.backward(g) if outs is None else obj.backward_rows(g, outs[i])[0]
         return g
+
+    def reduce_shapes(self) -> list:
+        """Per layer, the per-row shapes of its reduction inputs after `forward`."""
+        return [obj.reduce_shapes() for obj in self.layers]
 
     def gradients(self) -> dict:
         return {f"{prefix}.{key}": value for prefix, obj in zip(self.prefixes, self.layers)
                 for key, value in obj.grads.items()}
+
+    def _executor(self, rows: int):
+        return shards.executor(self, rows, shardable(self.spec))
 
     def predict(self, windows, batch_size: int) -> np.ndarray:
         """Outputs (n, time) for windows accepted by `as_windows`, `batch_size` at a time."""
         if batch_size <= 0:
             raise ConfigError(f"batch_size must be positive, got {batch_size}")
         x = as_windows(windows)
-        outputs = [self.forward(x[lo:lo + batch_size]) for lo in range(0, len(x), batch_size)]
+        outputs = []
+        for lo in range(0, len(x), batch_size):
+            xb = x[lo:lo + batch_size]
+            with self._executor(len(xb)) as run:
+                outputs.append(run.forward(xb))
         return np.concatenate(outputs, axis=0) if outputs else np.empty(x.shape[:2])
 
     def mse_step(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -343,11 +371,24 @@ class Model:
 
         When the loss is finite, also backpropagates it, filling `gradients()`.
         """
-        pred = self.forward(x)
-        loss = float(np.mean((pred - y) ** 2))
-        if np.isfinite(loss):
-            self.backward(2.0 * (pred - y) / pred.size)
+        with self._executor(len(x)) as run:
+            pred = run.forward(x, train=True)
+            loss = float(np.mean((pred - y) ** 2))
+            if np.isfinite(loss):
+                run.backward(2.0 * (pred - y) / pred.size)
         return loss
+
+
+def shardable(spec: ArchitectureSpec) -> bool:
+    """Whether calls of `spec` run row-sharded on worker processes.
+
+    Only models with a recurrent layer do. The GRU recurrence is a long chain
+    of small steps that hold the GIL, so one process per core overlaps it.
+    Conv layers are a few large BLAS products that BLAS threads already
+    spread over every core; sharding them would only add copies and a
+    second set of activations per worker.
+    """
+    return any(layer_kind(layer.kind).recurrent for layer in spec.layers)
 
 
 def model_forward(spec: ArchitectureSpec, params: dict, window) -> np.ndarray:

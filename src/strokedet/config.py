@@ -148,7 +148,7 @@ def load_config(path=None, overrides=()) -> PipelineConfig:
     cfg = PipelineConfig()
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):

@@ -4,7 +4,11 @@ All layers operate on float64 arrays shaped (batch, time, channels) and keep
 whatever caches the backward pass needs. Every layer exposes `params` and
 `grads` dicts keyed by array name; `backward` consumes the gradient w.r.t. the
 layer output and returns the gradient w.r.t. the layer input while filling
-`grads`.
+`grads`. It runs two parts: `backward_rows`, which works row by row and
+returns the input gradient with the reduction inputs (optionally copied into
+caller buffers shaped by `reduce_shapes`), and `reduce`, which fills `grads`
+from reduction inputs of a whole batch. Row shards of a batch can run the
+first part apart (`strokedet.shards`) and leave the second to one process.
 
 The GRU uses the reset-after gate formulation with separate input and
 recurrent biases (parameter count per direction: 3*h*(in+h) + 6*h):
@@ -64,6 +68,22 @@ def _activation(name: str) -> tuple:
         raise ConfigError(f"unknown activation {name!r}") from None
 
 
+def _reduction_inputs(out: dict | None, **arrays) -> dict:
+    """`arrays` as they are, or copied into the same-named buffers of `out`."""
+    if out is None:
+        return arrays
+    for name, value in arrays.items():
+        np.copyto(out[name], value)
+    return {name: out[name] for name in arrays}
+
+
+def _backward(self, gy: np.ndarray) -> np.ndarray:
+    """The per-row part and the reduction run together: `gy` -> dx, filling `grads`."""
+    dx, red = self.backward_rows(gy)
+    self.reduce(red)
+    return dx
+
+
 class Conv1D:
     """Same-padded 1-D convolution over (batch, time, channels)."""
 
@@ -98,19 +118,30 @@ class Conv1D:
         self._cache = (xp, a)
         return self._act(a)
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def reduce_shapes(self) -> dict:
+        xp, a = self._cache
+        return {"xp": xp.shape[1:], "da": a.shape[1:]}
+
+    def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
         xp, a = self._cache
         kernel = self.params["kernel"]
-        b, t, _ = gy.shape
+        t = gy.shape[1]
         pad = (self.kernel_size - 1) // 2
         da = self._act_grad(a, gy)
-        dkernel = np.empty_like(kernel)
         dxp = np.zeros_like(xp)
         for j in range(self.kernel_size):
-            dkernel[j] = np.tensordot(xp[:, j:j + t], da, axes=([0, 1], [0, 1]))
             dxp[:, j:j + t] += da @ kernel[j].T
+        return (dxp[:, pad:pad + t] if pad else dxp), _reduction_inputs(out, xp=xp, da=da)
+
+    def reduce(self, red: dict) -> None:
+        xp, da = red["xp"], red["da"]
+        t = da.shape[1]
+        dkernel = np.empty_like(self.params["kernel"])
+        for j in range(self.kernel_size):
+            dkernel[j] = np.tensordot(xp[:, j:j + t], da, axes=([0, 1], [0, 1]))
         self.grads = {"kernel": dkernel, "bias": da.sum(axis=(0, 1))}
-        return dxp[:, pad:pad + t] if pad else dxp
+
+    backward = _backward
 
 
 class DenseFlatten:
@@ -140,13 +171,22 @@ class DenseFlatten:
         self._cache = (xf, a)
         return self._act(a).reshape(b, self.out_units, 1)
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def reduce_shapes(self) -> dict:
+        xf, a = self._cache
+        return {"xf": xf.shape[1:], "da": a.shape[1:]}
+
+    def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
         xf, a = self._cache
         b = gy.shape[0]
         da = self._act_grad(a, gy.reshape(b, self.out_units))
-        self.grads = {"weight": xf.T @ da, "bias": da.sum(axis=0)}
         dx = da @ self.params["weight"].T
-        return dx.reshape(b, self.in_time, self.in_channels)
+        return dx.reshape(b, self.in_time, self.in_channels), _reduction_inputs(out, xf=xf, da=da)
+
+    def reduce(self, red: dict) -> None:
+        xf, da = red["xf"], red["da"]
+        self.grads = {"weight": xf.T @ da, "bias": da.sum(axis=0)}
+
+    backward = _backward
 
 
 class DenseTimeDistributed:
@@ -173,15 +213,24 @@ class DenseTimeDistributed:
         self._cache = (x, a)
         return self._act(a)
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def reduce_shapes(self) -> dict:
+        x, a = self._cache
+        return {"x": x.shape[1:], "da": a.shape[1:]}
+
+    def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
         x, a = self._cache
         da = self._act_grad(a, gy)
+        return da @ self.params["weight"].T, _reduction_inputs(out, x=x, da=da)
+
+    def reduce(self, red: dict) -> None:
+        x, da = red["x"], red["da"]
         b, t, _ = x.shape
         self.grads = {
             "weight": x.reshape(b * t, -1).T @ da.reshape(b * t, -1),
             "bias": da.sum(axis=(0, 1)),
         }
-        return da @ self.params["weight"].T
+
+    backward = _backward
 
 
 class GRU:
@@ -231,40 +280,60 @@ class GRU:
         self._cache = (x, hs, g, ghn)
         return hs[1:].transpose(1, 0, 2)
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def reduce_shapes(self) -> dict:
+        x, hs, g, _ = self._cache
+        t, _, h3 = g.shape
+        return {"x": x.shape[1:], "dgx": (t, h3), "hprev": (t, hs.shape[2]), "dgh": (t, h3)}
+
+    def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
         x, hs, g, ghn = self._cache
         b, t, h = gy.shape
-        U = self.params["U"]
-        dgx = np.empty((b, t, 3 * h))
-        dgh = np.empty((b, t, 3 * h))
+        # a contiguous copy: a transposed view sends products of <= 18 rows
+        # through a BLAS small-matrix kernel whose rows differ in the last
+        # bits from the same rows of a larger product, and rows must not
+        # depend on how a batch is cut into shards
+        U_T = np.ascontiguousarray(self.params["U"].T)
+        dgx = np.empty((b, t, 3 * h)) if out is None else out["dgx"]
+        dgh = np.empty((b, t, 3 * h)) if out is None else out["dgh"]
+        dht, dz, dn, omz, tmp = (np.empty((b, h)) for _ in range(5))
         dh = np.zeros((b, h))
         for step in range(t - 1, -1, -1):
-            dht = gy[:, step] + dh
+            np.add(gy[:, step], dh, out=dht)
             gs = g[step]
             z, r, n, hp, gn = gs[:, :h], gs[:, h:2 * h], gs[:, 2 * h:], hs[step], ghn[step]
-            dz = dht * (hp - n)
-            dn = dht * (1.0 - z)
-            dh = dht * z
-            dan = dn * (1.0 - n * n)
-            dr = dan * gn
-            daz = dz * z * (1.0 - z)
-            dar = dr * r * (1.0 - r)
-            dgx[:, step, :h] = daz
-            dgx[:, step, h:2 * h] = dar
-            dgx[:, step, 2 * h:] = dan
-            dgh[:, step, :h] = daz
-            dgh[:, step, h:2 * h] = dar
-            dgh[:, step, 2 * h:] = dan * r
-            dh += dgh[:, step] @ U.T
+            daz, dar, dan = dgx[:, step, :h], dgx[:, step, h:2 * h], dgx[:, step, 2 * h:]
+            np.subtract(hp, n, out=dz)
+            dz *= dht
+            np.subtract(1.0, z, out=omz)
+            np.multiply(dht, omz, out=dn)
+            np.multiply(dht, z, out=dh)
+            np.multiply(n, n, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(dn, tmp, out=dan)
+            np.multiply(dan, gn, out=tmp)  # dr
+            np.multiply(dz, z, out=daz)
+            daz *= omz
+            np.multiply(tmp, r, out=dar)
+            np.subtract(1.0, r, out=tmp)
+            dar *= tmp
+            dgh[:, step, :2 * h] = dgx[:, step, :2 * h]
+            np.multiply(dan, r, out=dgh[:, step, 2 * h:])
+            dh += np.matmul(dgh[:, step], U_T, out=tmp)
+        red = _reduction_inputs(out, x=x, hprev=hs[:-1].transpose(1, 0, 2))
+        return dgx @ self.params["W"].T, {**red, "dgx": dgx, "dgh": dgh}
+
+    def reduce(self, red: dict) -> None:
+        x, dgx, hprev, dgh = red["x"], red["dgx"], red["hprev"], red["dgh"]
+        b, t, _ = dgx.shape
         bt = b * t
-        hprev = hs[:-1].transpose(1, 0, 2)
         self.grads = {
             "W": x.reshape(bt, -1).T @ dgx.reshape(bt, -1),
             "U": hprev.reshape(bt, -1).T @ dgh.reshape(bt, -1),
             "bw": dgx.sum(axis=(0, 1)),
             "bu": dgh.sum(axis=(0, 1)),
         }
-        return dgx @ self.params["W"].T
+
+    backward = _backward
 
 
 class BiGRU:
@@ -297,9 +366,32 @@ class BiGRU:
             yb = reverse.result()[:, ::-1]
         return np.concatenate([yf, yb], axis=2)
 
+    def reduce_shapes(self) -> dict:
+        return {f"{side}.{k}": v for side, gru in self._sides() for k, v in gru.reduce_shapes().items()}
+
+    def _split(self, red: dict | None, side: str) -> dict | None:
+        return None if red is None else {k[len(side) + 1:]: v for k, v in red.items() if k.startswith(side + ".")}
+
+    def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
+        h = self.hidden
+        dxf, redf = self.fwd.backward_rows(gy[:, :, :h], self._split(out, "fwd"))
+        dxb, redb = self.bwd.backward_rows(gy[:, ::-1, h:], self._split(out, "bwd"))
+        red = {**{f"fwd.{k}": v for k, v in redf.items()}, **{f"bwd.{k}": v for k, v in redb.items()}}
+        return dxf + dxb[:, ::-1], red
+
+    def reduce(self, red: dict) -> None:
+        for side, gru in self._sides():
+            gru.reduce(self._split(red, side))
+        self._collect_grads()
+
+    def _collect_grads(self) -> None:
+        self.grads = {f"{side}.{k}": v for side, gru in self._sides() for k, v in gru.grads.items()}
+
     def backward(self, gy: np.ndarray) -> np.ndarray:
+        # each direction reduces before the next one runs, so only one
+        # direction's reduction inputs are alive at a time
         h = self.hidden
         dxf = self.fwd.backward(gy[:, :, :h])
         dxb = self.bwd.backward(gy[:, ::-1, h:])[:, ::-1]
-        self.grads = {f"{side}.{k}": v for side, gru in self._sides() for k, v in gru.grads.items()}
+        self._collect_grads()
         return dxf + dxb

@@ -58,12 +58,10 @@ def _stack_dataset(dataset):
 
 
 def _eval_loss(model: Model, X: np.ndarray, Y: np.ndarray, batch_size: int) -> float:
+    pred = model.predict(X, batch_size)
     total = 0.0
     for lo in range(0, len(X), batch_size):
-        xb = X[lo:lo + batch_size]
-        yb = Y[lo:lo + batch_size]
-        pred = model.forward(xb)
-        total += float(np.sum((pred - yb) ** 2))
+        total += float(np.sum((pred[lo:lo + batch_size] - Y[lo:lo + batch_size]) ** 2))
     return total / Y.size
 
 

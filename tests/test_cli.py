@@ -323,6 +323,21 @@ def test_unreadable_config_exit_code(tmp_path, make):
     assert main(["arch", "gruc1", "--config", str(make(tmp_path / "a.cfg"))]) == 2
 
 
+def test_config_with_byte_order_mark(workspace, tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + "".join(f"{kv}\n" for kv in TINY if kv != "seed=0")
+                    .replace("=", " = ").encode() + b"seed = 7\n")
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "bom")]) == 0
+    args = [a for kv in TINY if kv != "seed=0" for a in ("--set", kv)]
+    assert main(["synth"] + args + ["--set", "seed=7", "--out", str(tmp_path / "seed7")]) == 0
+
+    def digest(path):
+        return json.loads((path / "manifest.json").read_text())["digest"]
+
+    assert digest(tmp_path / "bom") == digest(tmp_path / "seed7")
+    assert digest(tmp_path / "bom") != digest(workspace / "raw")
+
+
 def test_bad_config_key_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not_a_key = 1\n")

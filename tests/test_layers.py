@@ -50,6 +50,7 @@ def reference_gru_forward(params, x, h0=None):
 def reference_gru_backward(params, x, cache, gy):
     """(dx, grads) for `reference_gru_forward`, one step at a time."""
     b, t, h = gy.shape
+    U_T = np.ascontiguousarray(params["U"].T)
     dgx = np.empty((b, t, 3 * h))
     dgh = np.empty((b, t, 3 * h))
     dh = np.zeros((b, h))
@@ -65,7 +66,7 @@ def reference_gru_backward(params, x, cache, gy):
         dar = dr * r * (1.0 - r)
         dgx[:, step] = np.concatenate([daz, dar, dan], axis=1)
         dgh[:, step] = np.concatenate([daz, dar, dan * r], axis=1)
-        dh += dgh[:, step] @ params["U"].T
+        dh += dgh[:, step] @ U_T
     bt = b * t
     grads = {
         "W": x.reshape(bt, -1).T @ dgx.reshape(bt, -1),
@@ -204,10 +205,9 @@ class TestGruForward:
         out = run(make_gru(params), rng.uniform(-1, 1, (6, 2)), h0=h0)
         np.testing.assert_array_equal(out, np.tile(h0, (6, 1)))
 
-    @pytest.mark.parametrize("with_h0", [False, True])
-    def test_matches_per_step_reference_exactly(self, with_h0):
+    @staticmethod
+    def check_matches_reference_exactly(b, t, cin, h, with_h0):
         rng = np.random.default_rng(11)
-        b, t, cin, h = 3, 7, 2, 4
         params = gru_params(rng, cin, h)
         x = rng.uniform(-1, 1, (b, t, cin))
         h0 = rng.uniform(-1, 1, h) if with_h0 else None
@@ -220,6 +220,25 @@ class TestGruForward:
         np.testing.assert_array_equal(layer.backward(gy), expected_dx)
         for key in ("W", "U", "bw", "bu"):
             np.testing.assert_array_equal(layer.grads[key], expected_grads[key])
+
+    @pytest.mark.parametrize("with_h0", [False, True])
+    def test_matches_per_step_reference_exactly(self, with_h0):
+        self.check_matches_reference_exactly(3, 7, 2, 4, with_h0)
+
+    def test_matches_reference_exactly_at_16_rows_of_64_units(self):
+        self.check_matches_reference_exactly(16, 9, 64, 64, False)
+
+    def test_recurrent_product_uses_contiguous_transpose(self):
+        # at <= 18 rows and h = 64 the transposed view of U goes through a
+        # BLAS small-matrix kernel whose rows differ from those of larger
+        # products; the backward pass multiplies by a contiguous copy
+        rng = np.random.default_rng(14)
+        dgh = rng.uniform(-1, 1, (16, 192))
+        U = rng.uniform(-1, 1, (64, 192))
+        assert not np.array_equal(dgh @ U.T, dgh @ np.ascontiguousarray(U.T))
+        big = np.concatenate([dgh, rng.uniform(-1, 1, (16, 192))])
+        np.testing.assert_array_equal((big @ np.ascontiguousarray(U.T))[:16],
+                                      dgh @ np.ascontiguousarray(U.T))
 
     def test_non_finite_input_rejected(self):
         spec = build_architecture("gruc1")
