@@ -33,17 +33,12 @@ bit-identical to it (tests/test_layers.py keeps that formulation as the
 reference). The sigmoid stays scipy's `expit`: the tanh identity and
 1 / (1 + exp(-x)) are cheaper but change bits.
 
-BiGRU runs its two directions concurrently: the reverse one on a long-lived
-helper thread, the forward one on the caller's thread. numpy and OpenBLAS
-release the GIL, so the recurrences overlap on two cores, and each direction
-does the same arithmetic as when run alone. Backward stays serial: running
-the directions' backward concurrently raised the peak memory of BGRUc1
-training by ~100 MB (~15%) and was no faster.
+BiGRU runs its two directions one after the other on the caller's thread:
+the shard workers already use every core, and a second thread per worker
+only oversubscribes them.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import expit as _sigmoid
@@ -55,10 +50,6 @@ ACTIVATIONS = {
     "relu": (lambda a: np.maximum(a, 0.0), lambda a, gy: gy * (a > 0.0)),
     "linear": (lambda a: a, lambda a, gy: gy),
 }
-
-# Runs BiGRU's reverse direction. One long-lived thread rather than one per
-# call: threads started per call raised peak memory in some benchmark runs.
-_REVERSE = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bigru-reverse")
 
 
 def _activation(name: str) -> tuple:
@@ -326,8 +317,11 @@ class GRU:
         x, dgx, hprev, dgh = red["x"], red["dgx"], red["hprev"], red["dgh"]
         b, t, _ = dgx.shape
         bt = b * t
+        # in C order, as a worker's buffer holds it: a one-row reversed input
+        # reshapes to a negative-stride view, whose product avoids BLAS and
+        # differs in the last bits
         self.grads = {
-            "W": x.reshape(bt, -1).T @ dgx.reshape(bt, -1),
+            "W": np.ascontiguousarray(x).reshape(bt, -1).T @ dgx.reshape(bt, -1),
             "U": hprev.reshape(bt, -1).T @ dgh.reshape(bt, -1),
             "bw": dgx.sum(axis=(0, 1)),
             "bu": dgh.sum(axis=(0, 1)),
@@ -357,13 +351,8 @@ class BiGRU:
     def forward(self, x: np.ndarray) -> np.ndarray:
         for side, gru in self._sides():
             gru.params = {k: self.params[f"{side}.{k}"] for k in gru.params}
-        reverse = _REVERSE.submit(self.bwd.forward, x[:, ::-1])
-        try:
-            yf = self.fwd.forward(x)
-        finally:
-            # wait for the reverse direction even when the forward one raised,
-            # so the layer's caches are settled and no error is dropped
-            yb = reverse.result()[:, ::-1]
+        yf = self.fwd.forward(x)
+        yb = self.bwd.forward(x[:, ::-1])[:, ::-1]
         return np.concatenate([yf, yb], axis=2)
 
     def reduce_shapes(self) -> dict:

@@ -129,15 +129,3 @@ def save_history_csv(history, path) -> None:
         writer.writerow(["epoch", "train_loss", "val_loss"])
         for epoch, train_loss, val_loss in history:
             writer.writerow([epoch, repr(float(train_loss)), repr(float(val_loss))])
-
-
-def load_history_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["epoch", "train_loss", "val_loss"]:
-            raise ConfigError(f"{path}: unexpected history header {header}")
-        for row in reader:
-            rows.append((int(row[0]), float(row[1]), float(row[2])))
-    return rows

@@ -93,16 +93,20 @@ sys.path[:0] = sys.argv[1:3]
 from test_shards import _train_and_predict
 from strokedet import shards
 assert shards._shared_pool() is None
-print(_train_and_predict("gruc1", 25, 50, 8)[0])
+print(_train_and_predict(sys.argv[3], *map(int, sys.argv[4:]))[0])
 """
 
 
-def test_a_single_core_host_gives_the_same_bytes(cores):
+@pytest.mark.parametrize("case", [("gruc1", 25, 50, 8), ("bgruc1", 41, 30, 3)], ids=lambda c: c[0])
+def test_a_single_core_host_gives_the_same_bytes(cores, case):
     # one core: no workers, and BLAS starts one thread, as each worker runs
-    # with; at this shape two BLAS threads give other bits in the reductions
+    # with; at the gruc1 shape two BLAS threads give other bits in the
+    # reductions. The bgruc1 case ends on a one-row batch, whose reversed
+    # input stays a negative-stride view unless the reduction copies it.
     cores(2)
-    sharded = _train_and_predict("gruc1", 25, 50, 8)[0]
-    out = subprocess.run([sys.executable, "-c", _ONE_CORE, str(SRC), str(Path(__file__).parent)],
+    sharded = _train_and_predict(*case)[0]
+    out = subprocess.run([sys.executable, "-c", _ONE_CORE, str(SRC), str(Path(__file__).parent),
+                          *map(str, case)],
                          capture_output=True, text=True, timeout=TIMEOUT_S)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == sharded

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from strokedet.gradcheck import LAYER_KINDS, gradient_check, random_toy_shape
 from strokedet.training import (
     TrainConfig,
     TrainingDiverged,
-    load_history_csv,
     predict_batch,
     save_history_csv,
     train_model,
@@ -108,8 +109,10 @@ def test_history_csv_roundtrip(tmp_path):
     history = [(0, 0.5, 0.6), (1, 0.25, float("nan"))]
     path = tmp_path / "history.csv"
     save_history_csv(history, path)
-    assert path.read_text().splitlines()[0] == "epoch,train_loss,val_loss"
-    back = load_history_csv(path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["epoch", "train_loss", "val_loss"]
+    back = [(int(epoch), float(train), float(val)) for epoch, train, val in rows]
     assert back[0] == (0, 0.5, 0.6)
     assert back[1][1] == 0.25 and np.isnan(back[1][2])
 
