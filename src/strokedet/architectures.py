@@ -17,7 +17,7 @@ layer-table label. Counts are computed without allocating weights:
 `Model` is the one execution path from windows to outputs and gradients:
 it binds a params dict at construction, `as_windows` is its input contract,
 `Model.predict` runs batched inference and `Model.mse_step` the forward ->
-mean squared error -> backward step, each batch through `shards.executor`,
+mean squared error -> backward step, each call through `shards.executor`,
 which runs the calls of recurrent models row-sharded on worker processes.
 `training`, `model_forward` and `mse_loss_and_grads` all call into it.
 """
@@ -355,16 +355,16 @@ class Model:
         return shards.executor(self, rows, shardable(self.spec))
 
     def predict(self, windows, batch_size: int) -> np.ndarray:
-        """Outputs (n, time) for windows accepted by `as_windows`, `batch_size` at a time."""
+        """Outputs (n, time) for windows accepted by `as_windows`, in one
+        executor call whose every process runs at most about `batch_size`
+        rows at once (see `shards.chunk_bounds`)."""
         if batch_size <= 0:
             raise ConfigError(f"batch_size must be positive, got {batch_size}")
         x = as_windows(windows)
-        outputs = []
-        for lo in range(0, len(x), batch_size):
-            xb = x[lo:lo + batch_size]
-            with self._executor(len(xb)) as run:
-                outputs.append(run.forward(xb))
-        return np.concatenate(outputs, axis=0) if outputs else np.empty(x.shape[:2])
+        if not len(x):
+            return np.empty(x.shape[:2])
+        with self._executor(len(x)) as run:
+            return run.forward(x, batch_size=batch_size)
 
     def mse_step(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean squared error of the batch `x` against `y`, (batch, time).

@@ -18,7 +18,7 @@ import sys
 
 import strokedet
 from strokedet.architectures import Model
-from strokedet.shards import Arena, send
+from strokedet.shards import Arena, chunk_bounds, send
 
 
 def _portable(exc: BaseException) -> BaseException:
@@ -34,10 +34,12 @@ class Worker:
         self.arena = Arena(fd)
         self.model = None
 
-    def forward(self, lo, hi, spec, params, xref, pref, train):
+    def forward(self, lo, hi, spec, params, xref, pref, train, batch_size):
         arena = self.arena
         self.model = Model(spec, {name: arena.array(ref) for name, ref in params.items()})
-        arena.array(pref)[lo:hi] = self.model.forward(arena.array(xref)[lo:hi])
+        x, pred = arena.array(xref)[lo:hi], arena.array(pref)[lo:hi]
+        for a, b in chunk_bounds(hi - lo, batch_size):
+            pred[a:b] = self.model.forward(x[a:b])
         return self.model.reduce_shapes() if train else None
 
     def backward(self, lo, hi, gref, reds):

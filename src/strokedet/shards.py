@@ -1,19 +1,23 @@
 """Row-sharded `Model` calls on one worker process per core.
 
-`Model.mse_step` and `Model.predict` run each batch of a recurrent model
-through `executor`. It cuts the batch's rows into contiguous shards of at
-least `MIN_ROWS` rows, as many as the cores and rows allow, one per worker
-process. Each worker runs its rows' forward pass and, when training, its
-rows' backward pass, leaving every layer's reduction inputs (`reduce_shapes`)
-in full-batch arrays. Then each layer's weight-gradient reduction runs once
-over the full batch on one worker, with the layer's own `reduce`, so the
-summation order is that of an unsharded call. The caller keeps the loss and
-the optimiser step.
+`Model.mse_step` runs each training batch of a recurrent model through
+`executor`, and `Model.predict` its whole window set, in one call each. The
+executor cuts the rows into contiguous shards of at least `MIN_ROWS` rows,
+as many as the cores and rows allow, one per worker process. A prediction
+worker runs its shard in the `chunk_bounds` chunks of `batch_size`, so
+`batch_size` bounds the rows that one process holds at once, not how rows
+are spread over workers. A training worker runs its rows' forward and
+backward pass in one chunk, leaving every layer's reduction inputs
+(`reduce_shapes`) in full-batch arrays. Then each layer's weight-gradient
+reduction runs once over the full batch on one worker, with the layer's own
+`reduce`, so the summation order is that of an unsharded call. The caller
+keeps the loss and the optimiser step.
 
 Every per-row operation gives a row the same bits whatever rows share its
-shard, and every BLAS call runs on one thread, as on a single-core host,
-which runs the same layers in-process with no workers. Output bytes
-therefore do not depend on the number of cores.
+shard or chunk, and every BLAS call runs on one thread, as on a single-core
+host, which runs the same layers and chunks in-process with no workers.
+Output bytes therefore depend neither on the number of cores nor, for a
+prediction, on `batch_size`.
 
 Workers are `python -m strokedet.shard_worker` children that import the
 caller's own `strokedet` sources and run with one OpenBLAS thread each: the
@@ -42,9 +46,9 @@ import numpy as np
 
 from .errors import StrokedetError
 
-# A shard of one row would run the GRU's (rows, 3h) @ (3h, h) products as
-# matrix-vector BLAS calls, whose rows differ in the last bits from the same
-# rows of a matrix product; shards of two rows or more all take one path.
+# A shard or chunk of one row would run the GRU's (rows, 3h) @ (3h, h)
+# products as matrix-vector BLAS calls, whose rows differ in the last bits
+# from the same rows of a matrix product; two rows or more all take one path.
 MIN_ROWS = 2
 # A batch of the default 32 rows never makes more shards than this.
 MAX_WORKERS = 16
@@ -65,6 +69,15 @@ def shard_bounds(rows: int, shards: int) -> list:
         bounds.append((lo, hi))
         lo = hi
     return bounds
+
+
+def chunk_bounds(rows: int, batch_size: int | None) -> list:
+    """(lo, hi) of the chunks in which one process runs `rows` rows: one
+    chunk for `batch_size` None, else at most `batch_size` rows each, but
+    never under `MIN_ROWS` rows (so up to 2 * MIN_ROWS - 1) unless rows < 2."""
+    if batch_size is None:
+        return [(0, rows)]
+    return shard_bounds(rows, max(1, min(-(-rows // batch_size), rows // MIN_ROWS)))
 
 
 class Arena:
@@ -197,8 +210,10 @@ class _InProcess:
     def __init__(self, model):
         self.model = model
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        return self.model.forward(x)
+    def forward(self, x: np.ndarray, train: bool = False,
+                batch_size: int | None = None) -> np.ndarray:
+        return np.concatenate([self.model.forward(x[lo:hi])
+                               for lo, hi in chunk_bounds(len(x), batch_size)])
 
     def backward(self, gy: np.ndarray) -> None:
         self.model.backward(gy)
@@ -215,7 +230,8 @@ class _Sharded:
         size = self.pool.arena.size
         return self.pool.run([(op, size, *args) for op, *args in messages])
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False,
+                batch_size: int | None = None) -> np.ndarray:
         arena, layout = self.pool.arena, self.layout
         params = {name: layout.add(value.shape) for name, value in self.model.named_params()}
         xref, pref = layout.add(x.shape), layout.add(x.shape[:2])
@@ -223,8 +239,8 @@ class _Sharded:
         for name, value in self.model.named_params():
             arena.array(params[name])[...] = value
         arena.array(xref)[...] = x
-        self.shapes = self._round([("forward", lo, hi, self.model.spec, params, xref, pref, train)
-                                   for lo, hi in self.bounds])[0]
+        self.shapes = self._round([("forward", lo, hi, self.model.spec, params, xref, pref, train,
+                                    batch_size) for lo, hi in self.bounds])[0]
         return arena.array(pref).copy()
 
     def backward(self, gy: np.ndarray) -> None:
@@ -282,8 +298,8 @@ atexit.register(close_pool)
 
 @contextmanager
 def executor(model, rows: int, shardable: bool):
-    """Runs one call of `model` on a batch of `rows` rows: `forward` and then,
-    when training, `backward` with the gradient w.r.t. the output."""
+    """Runs one call of `model` on `rows` rows: `forward` and then, when
+    training, `backward` with the gradient w.r.t. the output."""
     while True:
         pool = _shared_pool() if shardable else None
         if pool is None:

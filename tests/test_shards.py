@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import strokedet
 from strokedet import architectures, shards
@@ -116,6 +118,48 @@ def test_shard_bounds_are_contiguous_and_even():
     assert shards.shard_bounds(5, 2) == [(0, 3), (3, 5)]
     assert shards.shard_bounds(32, 2) == [(0, 16), (16, 32)]
     assert shards.shard_bounds(7, 3) == [(0, 3), (3, 5), (5, 7)]
+
+
+@given(st.integers(1, 400), st.integers(1, 100))
+def test_chunks_cover_the_rows_with_two_rows_or_more(rows, batch_size):
+    chunks = shards.chunk_bounds(rows, batch_size)
+    assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+    assert chunks[-1][1] == rows
+    if rows >= 2:
+        most = max(batch_size, 2 * shards.MIN_ROWS - 1)
+        assert all(shards.MIN_ROWS <= hi - lo <= most for lo, hi in chunks)
+    assert shards.chunk_bounds(rows, None) == [(0, rows)]
+
+
+@pytest.mark.parametrize("arch", ["gruc1", "bgruc1"])
+def test_prediction_bytes_depend_on_neither_batch_size_nor_cores(cores, arch):
+    # 33 windows leave a one-row last slice at batch sizes 2, 16 and 32,
+    # which must not take the matrix-vector path
+    spec = build_architecture(arch)
+    model = Model(spec, init_params(spec, 0))
+    X, _ = _data(33, 30)
+    outputs = {}
+    for n_cores in (1, 2):
+        cores(n_cores)
+        for batch_size in (2, 3, 5, 16, 32, 64):
+            outputs[n_cores, batch_size] = model.predict(X, batch_size).tobytes()
+    assert [key for key, out in outputs.items() if out != outputs[2, 64]] == []
+
+
+def test_a_prediction_is_one_round_cut_across_the_workers(cores, monkeypatch):
+    cores(2)
+    rounds = []
+    run = shards.Pool.run
+
+    def counted(pool, messages):
+        rounds.append([(op, lo, hi) for op, _, lo, hi, *_ in messages])
+        return run(pool, messages)
+
+    monkeypatch.setattr(shards.Pool, "run", counted)
+    spec = build_architecture("bgruc1")
+    X, _ = _data(35, 20)
+    Model(spec, init_params(spec, 0)).predict(X, batch_size=32)
+    assert rounds == [[("forward", 0, 18), ("forward", 18, 35)]]
 
 
 def test_worker_runs_the_callers_sources(cores, fresh_pool):

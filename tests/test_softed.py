@@ -54,7 +54,9 @@ def preferred_matching(events, detections, k):
     total membership, and returns the one whose sorted preference ranks are
     lexicographically smallest, as sorted (event, detection, membership)
     triples. Preference: higher weight, then earlier event, then earlier
-    detection, then lower event and detection index.
+    detection, then lower event and detection index. A rank list that ends
+    ranks after one that goes on: a pair whose weight is below the optimum's
+    tolerance still counts as reaching it, so the matching that keeps it wins.
     """
     events = sorted((float(t), kind) for t, kind in events)
     detections = sorted((float(t), kind) for t, kind in detections)
@@ -74,7 +76,7 @@ def preferred_matching(events, detections, k):
     ]
     best = max(sum(weight[p] for p in m) for m in matchings)
     optimal = [m for m in matchings if sum(weight[p] for p in m) >= best - 1e-9]
-    chosen = min(optimal, key=lambda m: sorted(rank[p] for p in m))
+    chosen = min(optimal, key=lambda m: sorted(rank[p] for p in m) + [len(order)])
     return sorted((ei, di, weight[(ei, di)] / k) for ei, di in chosen)
 
 
