@@ -18,7 +18,7 @@ layer-table label. Counts are computed without allocating weights:
 it binds a params dict at construction, `as_windows` is its input contract,
 `Model.predict` runs batched inference and `Model.mse_step` the forward ->
 mean squared error -> backward step, each call through `shards.executor`,
-which runs the calls of recurrent models row-sharded on worker processes.
+which runs it row-sharded on worker processes, whatever the model's layers.
 `training`, `model_forward` and `mse_loss_and_grads` all call into it.
 """
 
@@ -176,7 +176,6 @@ class LayerKind:
     width: int = 1  # output channels per unit
     flattens: bool = False  # consumes the whole window: its table row follows a flatten row
     kernel: bool = False  # uses LayerSpec.kernel_size
-    recurrent: bool = False  # steps through time; see `shardable`
 
 
 KINDS = {
@@ -205,7 +204,6 @@ KINDS = {
         count=lambda l, n: _gru_count(l.in_channels, l.out_units),
         init=lambda rng, l, n: _gru_arrays(rng, l.in_channels, l.out_units),
         build=lambda l, n: GRU(l.in_channels, l.out_units),
-        recurrent=True,
     ),
     BGRU_KIND: LayerKind(
         "bidirectional",
@@ -213,7 +211,6 @@ KINDS = {
         init=_bgru_arrays,
         build=lambda l, n: BiGRU(l.in_channels, l.out_units),
         width=2,
-        recurrent=True,
     ),
 }
 
@@ -335,7 +332,8 @@ class Model:
 
         Without `outs` each layer reduces its weight gradients as it goes.
         With `outs`, one dict of buffers per layer shaped as `reduce_shapes`
-        says, each layer only copies its reduction inputs there for `reduce`.
+        says, each layer only writes its reduction inputs there for `reduce`.
+        Either way each layer drops its forward cache.
         """
         g = gy[:, :, None]
         for i in reversed(range(len(self.layers))):
@@ -351,19 +349,17 @@ class Model:
         return {f"{prefix}.{key}": value for prefix, obj in zip(self.prefixes, self.layers)
                 for key, value in obj.grads.items()}
 
-    def _executor(self, rows: int):
-        return shards.executor(self, rows, shardable(self.spec))
-
     def predict(self, windows, batch_size: int) -> np.ndarray:
         """Outputs (n, time) for windows accepted by `as_windows`, in one
-        executor call whose every process runs at most about `batch_size`
-        rows at once (see `shards.chunk_bounds`)."""
+        executor call: the rows are cut across the worker processes, and
+        each process runs at most about `batch_size` rows at once (see
+        `shards.chunk_bounds`)."""
         if batch_size <= 0:
             raise ConfigError(f"batch_size must be positive, got {batch_size}")
         x = as_windows(windows)
         if not len(x):
             return np.empty(x.shape[:2])
-        with self._executor(len(x)) as run:
+        with shards.executor(self, len(x)) as run:
             return run.forward(x, batch_size=batch_size)
 
     def mse_step(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -371,24 +367,12 @@ class Model:
 
         When the loss is finite, also backpropagates it, filling `gradients()`.
         """
-        with self._executor(len(x)) as run:
+        with shards.executor(self, len(x)) as run:
             pred = run.forward(x, train=True)
             loss = float(np.mean((pred - y) ** 2))
             if np.isfinite(loss):
                 run.backward(2.0 * (pred - y) / pred.size)
         return loss
-
-
-def shardable(spec: ArchitectureSpec) -> bool:
-    """Whether calls of `spec` run row-sharded on worker processes.
-
-    Only models with a recurrent layer do. The GRU recurrence is a long chain
-    of small steps that hold the GIL, so one process per core overlaps it.
-    Conv layers are a few large BLAS products that BLAS threads already
-    spread over every core; sharding them would only add copies and a
-    second set of activations per worker.
-    """
-    return any(layer_kind(layer.kind).recurrent for layer in spec.layers)
 
 
 def model_forward(spec: ArchitectureSpec, params: dict, window) -> np.ndarray:

@@ -5,10 +5,11 @@ whatever caches the backward pass needs. Every layer exposes `params` and
 `grads` dicts keyed by array name; `backward` consumes the gradient w.r.t. the
 layer output and returns the gradient w.r.t. the layer input while filling
 `grads`. It runs two parts: `backward_rows`, which works row by row and
-returns the input gradient with the reduction inputs (optionally copied into
-caller buffers shaped by `reduce_shapes`), and `reduce`, which fills `grads`
-from reduction inputs of a whole batch. Row shards of a batch can run the
-first part apart (`strokedet.shards`) and leave the second to one process.
+returns the input gradient with the reduction inputs (optionally written or
+copied into caller buffers shaped by `reduce_shapes`) and drops the layer's
+forward cache, and `reduce`, which fills `grads` from reduction inputs of a
+whole batch. Row shards of a batch can run the first part apart
+(`strokedet.shards`) and leave the second to one process.
 
 The GRU uses the reset-after gate formulation with separate input and
 recurrent biases (parameter count per direction: 3*h*(in+h) + 6*h):
@@ -45,10 +46,12 @@ from scipy.special import expit as _sigmoid
 
 from .errors import ConfigError
 
-# name -> (activation of the pre-activation a, gradient w.r.t. a given gy)
+# name -> (activation of the pre-activation a, gradient w.r.t. a given gy,
+# written into `out` when given)
 ACTIVATIONS = {
-    "relu": (lambda a: np.maximum(a, 0.0), lambda a, gy: gy * (a > 0.0)),
-    "linear": (lambda a: a, lambda a, gy: gy),
+    "relu": (lambda a: np.maximum(a, 0.0),
+             lambda a, gy, out=None: np.multiply(gy, a > 0.0, out=out)),
+    "linear": (lambda a: a, lambda a, gy, out=None: np.positive(gy, out=out)),
 }
 
 
@@ -114,15 +117,17 @@ class Conv1D:
         return {"xp": xp.shape[1:], "da": a.shape[1:]}
 
     def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
-        xp, a = self._cache
+        (xp, a), self._cache = self._cache, None
         kernel = self.params["kernel"]
         t = gy.shape[1]
         pad = (self.kernel_size - 1) // 2
-        da = self._act_grad(a, gy)
+        da = self._act_grad(a, gy, None if out is None else out["da"])
+        del a  # freed before dxp is allocated
         dxp = np.zeros_like(xp)
         for j in range(self.kernel_size):
             dxp[:, j:j + t] += da @ kernel[j].T
-        return (dxp[:, pad:pad + t] if pad else dxp), _reduction_inputs(out, xp=xp, da=da)
+        red = _reduction_inputs(out, xp=xp)
+        return (dxp[:, pad:pad + t] if pad else dxp), {**red, "da": da}
 
     def reduce(self, red: dict) -> None:
         xp, da = red["xp"], red["da"]
@@ -167,11 +172,12 @@ class DenseFlatten:
         return {"xf": xf.shape[1:], "da": a.shape[1:]}
 
     def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
-        xf, a = self._cache
+        (xf, a), self._cache = self._cache, None
         b = gy.shape[0]
-        da = self._act_grad(a, gy.reshape(b, self.out_units))
+        da = self._act_grad(a, gy.reshape(b, self.out_units), None if out is None else out["da"])
         dx = da @ self.params["weight"].T
-        return dx.reshape(b, self.in_time, self.in_channels), _reduction_inputs(out, xf=xf, da=da)
+        red = _reduction_inputs(out, xf=xf)
+        return dx.reshape(b, self.in_time, self.in_channels), {**red, "da": da}
 
     def reduce(self, red: dict) -> None:
         xf, da = red["xf"], red["da"]
@@ -209,9 +215,9 @@ class DenseTimeDistributed:
         return {"x": x.shape[1:], "da": a.shape[1:]}
 
     def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
-        x, a = self._cache
-        da = self._act_grad(a, gy)
-        return da @ self.params["weight"].T, _reduction_inputs(out, x=x, da=da)
+        (x, a), self._cache = self._cache, None
+        da = self._act_grad(a, gy, None if out is None else out["da"])
+        return da @ self.params["weight"].T, {**_reduction_inputs(out, x=x), "da": da}
 
     def reduce(self, red: dict) -> None:
         x, da = red["x"], red["da"]
@@ -277,7 +283,7 @@ class GRU:
         return {"x": x.shape[1:], "dgx": (t, h3), "hprev": (t, hs.shape[2]), "dgh": (t, h3)}
 
     def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
-        x, hs, g, ghn = self._cache
+        (x, hs, g, ghn), self._cache = self._cache, None
         b, t, h = gy.shape
         # a contiguous copy: a transposed view sends products of <= 18 rows
         # through a BLAS small-matrix kernel whose rows differ in the last

@@ -36,13 +36,18 @@ class Worker:
 
     def forward(self, lo, hi, spec, params, xref, pref, train, batch_size):
         arena = self.arena
-        self.model = Model(spec, {name: arena.array(ref) for name, ref in params.items()})
+        self.model = None  # drops what a step with a non-finite loss left
+        model = Model(spec, {name: arena.array(ref) for name, ref in params.items()})
         x, pred = arena.array(xref)[lo:hi], arena.array(pref)[lo:hi]
         for a, b in chunk_bounds(hi - lo, batch_size):
-            pred[a:b] = self.model.forward(x[a:b])
-        return self.model.reduce_shapes() if train else None
+            pred[a:b] = model.forward(x[a:b])
+        if train:
+            self.model = model  # with its caches, for backward
+            return model.reduce_shapes()
+        return None
 
     def backward(self, lo, hi, gref, reds):
+        # each layer drops its cache once its reduction inputs are in the arena
         arena = self.arena
         outs = [{name: arena.array(ref)[lo:hi] for name, ref in red.items()} for red in reds]
         self.model.backward(arena.array(gref)[lo:hi], outs)
@@ -54,6 +59,7 @@ class Worker:
             layer.reduce({name: arena.array(ref) for name, ref in red.items()})
             for name, ref in grads.items():
                 arena.array(ref)[...] = layer.grads[name]
+        self.model = None
 
     def handle(self, message):
         op, size, *args = message

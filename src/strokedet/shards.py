@@ -1,14 +1,15 @@
 """Row-sharded `Model` calls on one worker process per core.
 
-`Model.mse_step` runs each training batch of a recurrent model through
-`executor`, and `Model.predict` its whole window set, in one call each. The
-executor cuts the rows into contiguous shards of at least `MIN_ROWS` rows,
-as many as the cores and rows allow, one per worker process. A prediction
-worker runs its shard in the `chunk_bounds` chunks of `batch_size`, so
-`batch_size` bounds the rows that one process holds at once, not how rows
-are spread over workers. A training worker runs its rows' forward and
-backward pass in one chunk, leaving every layer's reduction inputs
-(`reduce_shapes`) in full-batch arrays. Then each layer's weight-gradient
+`Model.mse_step` runs each training batch through `executor`, and
+`Model.predict` its whole window set, in one call each, whatever the model's
+layers. The executor cuts the rows into contiguous shards of at least
+`MIN_ROWS` rows, as many as the cores and rows allow, one per worker
+process. A prediction worker runs its shard in the `chunk_bounds` chunks of
+`batch_size`, so `batch_size` bounds the rows that one process holds at
+once, not how rows are spread over workers. A training worker runs its
+rows' forward and backward pass in one chunk, leaving every layer's
+reduction inputs (`reduce_shapes`) in full-batch arena arrays and dropping
+the layer's own cache as it goes. Then each layer's weight-gradient
 reduction runs once over the full batch on one worker, with the layer's own
 `reduce`, so the summation order is that of an unsharded call. The caller
 keeps the loss and the optimiser step.
@@ -21,13 +22,16 @@ prediction, on `batch_size`.
 
 Workers are `python -m strokedet.shard_worker` children that import the
 caller's own `strokedet` sources and run with one OpenBLAS thread each: the
-GRU recurrence holds the GIL, so processes, not threads, overlap it. They
-share arrays through one `memfd` arena mapped by every process and take
-small pickled messages on stdin/stdout. The pool starts on the first call of
-a recurrent model, serves one call at a time to any thread, and is closed
-and waited for at exit. A worker that dies fails its call with
-`StrokedetError` and the next call starts a new pool; an error raised in a
-worker is raised again in the caller with its own type and exit code.
+GRU recurrence holds the GIL, so processes, not threads, overlap it, and the
+conv layers' elementwise work runs on every core. They share arrays through
+one `memfd` arena mapped by every process and take small pickled messages
+on stdin/stdout. Once a call's layout is complete, the arena gives back the
+pages beyond it, so it holds no more than the call needs; calls of one size
+keep their pages. The pool starts on the first model call, serves one
+call at a time to any thread, and is closed and waited for at exit. A worker
+that dies fails its call with `StrokedetError` and the next call starts a
+new pool; an error raised in a worker is raised again in the caller with its
+own type and exit code.
 """
 
 from __future__ import annotations
@@ -83,9 +87,10 @@ def chunk_bounds(rows: int, batch_size: int | None) -> list:
 class Arena:
     """float64 arrays at byte offsets of one memfd, mapped by every process.
 
-    A ref is (offset, shape). The caller grows the file; a worker maps the
-    size it is told. Growing keeps earlier mappings valid: they map the same
-    pages.
+    A ref is (offset, shape). The caller grows the file and trims it; a
+    worker maps the size it is told. Growing keeps earlier mappings valid:
+    they map the same pages. Trimming frees the pages beyond a size and
+    keeps the file's size, so every mapping stays valid and reads zeros there.
     """
 
     def __init__(self, fd: int):
@@ -103,6 +108,11 @@ class Arena:
             size = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
             os.ftruncate(self.fd, size)
             self.attach(size)
+
+    def trim(self, size: int) -> None:
+        start = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
+        if start < self.size:
+            self.map.madvise(mmap.MADV_REMOVE, start, self.size - start)
 
     def array(self, ref) -> np.ndarray:
         offset, shape = ref
@@ -205,7 +215,8 @@ class Pool:
 
 
 class _InProcess:
-    """One shard: the model's own forward and backward in this process."""
+    """One shard: the model's own forward and backward in this process, on a
+    host with one core or without memfd."""
 
     def __init__(self, model):
         self.model = model
@@ -236,6 +247,8 @@ class _Sharded:
         params = {name: layout.add(value.shape) for name, value in self.model.named_params()}
         xref, pref = layout.add(x.shape), layout.add(x.shape[:2])
         arena.reserve(layout.end)
+        if not train:  # a prediction's layout is complete here
+            arena.trim(layout.end)
         for name, value in self.model.named_params():
             arena.array(params[name])[...] = value
         arena.array(xref)[...] = x
@@ -252,23 +265,23 @@ class _Sharded:
         grads = [{name: layout.add(value.shape) for name, value in obj.params.items()}
                  for obj in layers]
         arena.reserve(layout.end)
+        arena.trim(layout.end)
         arena.array(gref)[...] = gy
         self._round([("backward", lo, hi, gref, reds) for lo, hi in self.bounds])
         # each layer's reduction runs whole on one worker, largest layers first
-        # onto the least loaded worker
+        # onto the least loaded worker; a reduction sums every weight entry's
+        # gradient over the batch's rows and time steps, so its cost follows
+        # the layer's parameter count
         tasks = [[] for _ in self.bounds]
         load = [0] * len(self.bounds)
-        for i in sorted(range(len(layers)), key=lambda i: -_bytes(reds[i])):
+        cost = [sum(value.size for value in obj.params.values()) for obj in layers]
+        for i in sorted(range(len(layers)), key=lambda i: -cost[i]):
             k = load.index(min(load))
             tasks[k].append((i, reds[i], grads[i]))
-            load[k] += _bytes(reds[i])
+            load[k] += cost[i]
         self._round([("reduce", task) for task in tasks])
         for obj, refs in zip(layers, grads):
             obj.grads = {name: arena.array(ref).copy() for name, ref in refs.items()}
-
-
-def _bytes(refs: dict) -> int:
-    return sum(8 * int(np.prod(shape)) for _, shape in refs.values())
 
 
 _POOL = None
@@ -276,7 +289,8 @@ _POOL_LOCK = threading.Lock()
 
 
 def _shared_pool():
-    """The process's pool, started on first use; None with fewer than two cores."""
+    """The process's pool, started on first use; None with fewer than two
+    cores or without memfd."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None or _POOL.closed or _POOL.pid != os.getpid():  # not a fork's
@@ -297,11 +311,11 @@ atexit.register(close_pool)
 
 
 @contextmanager
-def executor(model, rows: int, shardable: bool):
+def executor(model, rows: int):
     """Runs one call of `model` on `rows` rows: `forward` and then, when
     training, `backward` with the gradient w.r.t. the output."""
     while True:
-        pool = _shared_pool() if shardable else None
+        pool = _shared_pool()
         if pool is None:
             yield _InProcess(model)
             return

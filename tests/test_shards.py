@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import strokedet
-from strokedet import architectures, shards
+from strokedet import shards
 from strokedet.architectures import Model, build_architecture, init_params
 from strokedet.cli import main
 from strokedet.errors import NumericError, StrokedetError
@@ -44,8 +44,7 @@ def _data(n, t, seed=0):
 @pytest.fixture
 def cores(monkeypatch):
     """cores(n) makes calls see n cores, so that a batch makes at most n
-    shards; sharding is on for every spec."""
-    monkeypatch.setattr(architectures, "shardable", lambda spec: True)
+    shards."""
 
     def set_cores(n):
         monkeypatch.setattr(shards, "_cores", lambda: n)
@@ -99,12 +98,14 @@ print(_train_and_predict(sys.argv[3], *map(int, sys.argv[4:]))[0])
 """
 
 
-@pytest.mark.parametrize("case", [("gruc1", 25, 50, 8), ("bgruc1", 41, 30, 3)], ids=lambda c: c[0])
+@pytest.mark.parametrize("case", [("gruc1", 25, 50, 8), ("bgruc1", 41, 30, 3), ("cnnc1", 24, 20, 20)],
+                         ids=lambda c: c[0])
 def test_a_single_core_host_gives_the_same_bytes(cores, case):
     # one core: no workers, and BLAS starts one thread, as each worker runs
-    # with; at the gruc1 shape two BLAS threads give other bits in the
-    # reductions. The bgruc1 case ends on a one-row batch, whose reversed
-    # input stays a negative-stride view unless the reduction copies it.
+    # with; at the gruc1 shape, and at the cnnc1 shape's reduction length
+    # b * t = 400, two BLAS threads give other bits in the reductions. The
+    # bgruc1 case ends on a one-row batch, whose reversed input stays a
+    # negative-stride view unless the reduction copies it.
     cores(2)
     sharded = _train_and_predict(*case)[0]
     out = subprocess.run([sys.executable, "-c", _ONE_CORE, str(SRC), str(Path(__file__).parent),
@@ -160,6 +161,43 @@ def test_a_prediction_is_one_round_cut_across_the_workers(cores, monkeypatch):
     X, _ = _data(35, 20)
     Model(spec, init_params(spec, 0)).predict(X, batch_size=32)
     assert rounds == [[("forward", 0, 18), ("forward", 18, 35)]]
+
+
+def _held(arena) -> int:
+    """Bytes of the pages the arena's memfd holds."""
+    return os.fstat(arena.fd).st_blocks * 512
+
+
+def test_a_smaller_call_gives_back_the_arena_pages_beyond_its_layout(cores, fresh_pool):
+    cores(2)
+    spec = build_architecture("gruc1")
+    model = Model(spec, init_params(spec, 0))
+    small, _ = _data(2, 1000)
+    large, _ = _data(600, 1000)
+    model.predict(small, batch_size=32)
+    arena = shards._shared_pool().arena
+    held = _held(arena)
+    model.predict(large, batch_size=32)
+    assert _held(arena) > 10 * held
+    out = model.predict(small, batch_size=32)
+    assert _held(arena) <= held
+    np.testing.assert_array_equal(model.predict(large, batch_size=32)[:2], out)
+
+
+def test_same_size_training_steps_keep_their_arena_pages(cores, fresh_pool, monkeypatch):
+    cores(2)
+    trimmed = []
+    trim = shards.Arena.trim
+
+    def counted(arena, size):
+        trimmed.append(_held(arena))
+        trim(arena, size)
+        trimmed[-1] -= _held(arena)
+    monkeypatch.setattr(shards.Arena, "trim", counted)
+    spec = build_architecture("gruc1")
+    X, Y = _data(12, 30)
+    train_model(spec, list(zip(X, Y)), TrainConfig(epochs=2, batch_size=4, seed=0))
+    assert len(trimmed) == 6 and not any(trimmed)
 
 
 def test_worker_runs_the_callers_sources(cores, fresh_pool):
