@@ -18,7 +18,8 @@ layer-table label. Counts are computed without allocating weights:
 it binds a params dict at construction, `as_windows` is its input contract,
 `Model.predict` runs batched inference and `Model.mse_step` the forward ->
 mean squared error -> backward step, each call through `shards.executor`,
-which runs it row-sharded on worker processes, whatever the model's layers.
+which runs it row-sharded on worker processes, whatever the model's layers,
+or hands back the `Model` itself on a host with no worker pool.
 `training`, `model_forward` and `mse_loss_and_grads` all call into it.
 """
 
@@ -321,18 +322,25 @@ class Model:
         return [(f"{prefix}.{key}", value) for prefix, obj in zip(self.prefixes, self.layers)
                 for key, value in obj.params.items()]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """(batch, time, 1) -> (batch, time) model output."""
-        for obj in self.layers:
-            x = obj.forward(x)
-        return x[:, :, 0]
+    def forward(self, x: np.ndarray, batch_size: int | None = None) -> np.ndarray:
+        """(batch, time, 1) -> (batch, time) model output, in the
+        `shards.chunk_bounds` chunks of `batch_size`: with None in one chunk,
+        whose caches `backward` then uses."""
+        chunks = []
+        for lo, hi in shards.chunk_bounds(len(x), batch_size):
+            y = x[lo:hi]
+            for obj in self.layers:
+                y = obj.forward(y)
+            chunks.append(y[:, :, 0])
+        return np.concatenate(chunks)
 
     def backward(self, gy: np.ndarray, outs: list | None = None) -> np.ndarray:
         """Backpropagates `gy`, (batch, time), through the last `forward`.
 
         Without `outs` each layer reduces its weight gradients as it goes.
-        With `outs`, one dict of buffers per layer shaped as `reduce_shapes`
-        says, each layer only writes its reduction inputs there for `reduce`.
+        With `outs`, one dict of buffers per layer shaped as its
+        `reduce_shapes` says, each layer only writes its reduction inputs
+        there for `reduce`.
         Either way each layer drops its forward cache.
         """
         g = gy[:, :, None]
@@ -340,10 +348,6 @@ class Model:
             obj = self.layers[i]
             g = obj.backward(g) if outs is None else obj.backward_rows(g, outs[i])[0]
         return g
-
-    def reduce_shapes(self) -> list:
-        """Per layer, the per-row shapes of its reduction inputs after `forward`."""
-        return [obj.reduce_shapes() for obj in self.layers]
 
     def gradients(self) -> dict:
         return {f"{prefix}.{key}": value for prefix, obj in zip(self.prefixes, self.layers)
@@ -368,7 +372,7 @@ class Model:
         When the loss is finite, also backpropagates it, filling `gradients()`.
         """
         with shards.executor(self, len(x)) as run:
-            pred = run.forward(x, train=True)
+            pred = run.forward(x)
             loss = float(np.mean((pred - y) ** 2))
             if np.isfinite(loss):
                 run.backward(2.0 * (pred - y) / pred.size)

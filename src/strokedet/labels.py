@@ -119,6 +119,16 @@ def jsonl_records(path) -> list:
     return records
 
 
+def record_event(path, n: int, obj: dict, what: str) -> tuple:
+    """(t, kind) of the event or detection record on line `n`: a JSON integer
+    and a known kind, else a DataError naming the line."""
+    t, kind = obj["t"], obj["kind"]
+    if type(t) is not int or kind not in KIND_SIGNS:
+        raise DataError(f"{path}: line {n}: {what} needs an integer t and a known kind, "
+                        f"got t={t!r}, kind={kind!r}")
+    return t, kind
+
+
 def read_events_jsonl(path):
     """Returns (frame, [EventLabel, ...])."""
     records = jsonl_records(path)
@@ -130,7 +140,7 @@ def read_events_jsonl(path):
     events = []
     for n, obj in records[1:]:
         try:
-            events.append(EventLabel(t=int(obj["t"]), kind=obj["kind"]))
+            events.append(EventLabel(*record_event(path, n, obj, "event")))
         except KeyError as exc:
             raise DataError(f"{path}: line {n}: event record missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:

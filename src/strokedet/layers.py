@@ -6,10 +6,10 @@ whatever caches the backward pass needs. Every layer exposes `params` and
 layer output and returns the gradient w.r.t. the layer input while filling
 `grads`. It runs two parts: `backward_rows`, which works row by row and
 returns the input gradient with the reduction inputs (optionally written or
-copied into caller buffers shaped by `reduce_shapes`) and drops the layer's
-forward cache, and `reduce`, which fills `grads` from reduction inputs of a
-whole batch. Row shards of a batch can run the first part apart
-(`strokedet.shards`) and leave the second to one process.
+copied into caller buffers, shaped as `reduce_shapes(t)` says for windows of
+t samples) and drops the layer's forward cache, and `reduce`, which fills
+`grads` from reduction inputs of a whole batch. Row shards of a batch can run
+the first part apart (`strokedet.shards`) and leave the second to one process.
 
 The GRU uses the reset-after gate formulation with separate input and
 recurrent biases (parameter count per direction: 3*h*(in+h) + 6*h):
@@ -112,9 +112,8 @@ class Conv1D:
         self._cache = (xp, a)
         return self._act(a)
 
-    def reduce_shapes(self) -> dict:
-        xp, a = self._cache
-        return {"xp": xp.shape[1:], "da": a.shape[1:]}
+    def reduce_shapes(self, t: int) -> dict:
+        return {"xp": (t + self.kernel_size - 1, self.in_channels), "da": (t, self.out_channels)}
 
     def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
         (xp, a), self._cache = self._cache, None
@@ -167,9 +166,8 @@ class DenseFlatten:
         self._cache = (xf, a)
         return self._act(a).reshape(b, self.out_units, 1)
 
-    def reduce_shapes(self) -> dict:
-        xf, a = self._cache
-        return {"xf": xf.shape[1:], "da": a.shape[1:]}
+    def reduce_shapes(self, t: int) -> dict:
+        return {"xf": (t * self.in_channels,), "da": (self.out_units,)}
 
     def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
         (xf, a), self._cache = self._cache, None
@@ -210,9 +208,8 @@ class DenseTimeDistributed:
         self._cache = (x, a)
         return self._act(a)
 
-    def reduce_shapes(self) -> dict:
-        x, a = self._cache
-        return {"x": x.shape[1:], "da": a.shape[1:]}
+    def reduce_shapes(self, t: int) -> dict:
+        return {"x": (t, self.in_channels), "da": (t, self.out_units)}
 
     def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
         (x, a), self._cache = self._cache, None
@@ -277,10 +274,9 @@ class GRU:
         self._cache = (x, hs, g, ghn)
         return hs[1:].transpose(1, 0, 2)
 
-    def reduce_shapes(self) -> dict:
-        x, hs, g, _ = self._cache
-        t, _, h3 = g.shape
-        return {"x": x.shape[1:], "dgx": (t, h3), "hprev": (t, hs.shape[2]), "dgh": (t, h3)}
+    def reduce_shapes(self, t: int) -> dict:
+        h, h3 = self.hidden, 3 * self.hidden
+        return {"x": (t, self.in_channels), "dgx": (t, h3), "hprev": (t, h), "dgh": (t, h3)}
 
     def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
         (x, hs, g, ghn), self._cache = self._cache, None
@@ -361,8 +357,8 @@ class BiGRU:
         yb = self.bwd.forward(x[:, ::-1])[:, ::-1]
         return np.concatenate([yf, yb], axis=2)
 
-    def reduce_shapes(self) -> dict:
-        return {f"{side}.{k}": v for side, gru in self._sides() for k, v in gru.reduce_shapes().items()}
+    def reduce_shapes(self, t: int) -> dict:
+        return {f"{side}.{k}": v for side, gru in self._sides() for k, v in gru.reduce_shapes(t).items()}
 
     def _split(self, red: dict | None, side: str) -> dict | None:
         return None if red is None else {k[len(side) + 1:]: v for k, v in red.items() if k.startswith(side + ".")}

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .labels import ENDING, KIND_SIGNS, ONSET, jsonl_records
+from .labels import ENDING, KIND_SIGNS, ONSET, jsonl_records, record_event
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def read_detections_jsonl(path):
         if current is None:
             raise DataError(f"{path}: detection record before any window header")
         try:
-            current[1].append(Detection(int(obj["t"]), obj["kind"], float(obj["score"])))
+            current[1].append(Detection(*record_event(path, n, obj, "detection"), float(obj["score"])))
         except KeyError as exc:
             raise DataError(f"{path}: line {n}: detection record missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:

@@ -5,8 +5,8 @@
 Requests arrive as pickles on stdin and each gets one `(ok, value)` pickle
 on the original stdout; fd 1 is pointed at stderr so that nothing else
 writes into the reply stream. The worker exits at EOF on stdin. The first
-reply is `(True, strokedet.__file__)`, so the caller can check that both
-processes run the same sources.
+reply is `(True, strokedet.__file__)`, and the caller refuses a worker that
+imports other sources than its own.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 
 import strokedet
 from strokedet.architectures import Model
-from strokedet.shards import Arena, chunk_bounds, send
+from strokedet.shards import Arena, send
 
 
 def _portable(exc: BaseException) -> BaseException:
@@ -34,17 +34,13 @@ class Worker:
         self.arena = Arena(fd)
         self.model = None
 
-    def forward(self, lo, hi, spec, params, xref, pref, train, batch_size):
+    def forward(self, lo, hi, spec, params, xref, pref, batch_size):
         arena = self.arena
         self.model = None  # drops what a step with a non-finite loss left
         model = Model(spec, {name: arena.array(ref) for name, ref in params.items()})
-        x, pred = arena.array(xref)[lo:hi], arena.array(pref)[lo:hi]
-        for a, b in chunk_bounds(hi - lo, batch_size):
-            pred[a:b] = model.forward(x[a:b])
-        if train:
+        arena.array(pref)[lo:hi] = model.forward(arena.array(xref)[lo:hi], batch_size)
+        if batch_size is None:  # a training call
             self.model = model  # with its caches, for backward
-            return model.reduce_shapes()
-        return None
 
     def backward(self, lo, hi, gref, reds):
         # each layer drops its cache once its reduction inputs are in the arena

@@ -3,35 +3,37 @@
 `Model.mse_step` runs each training batch through `executor`, and
 `Model.predict` its whole window set, in one call each, whatever the model's
 layers. The executor cuts the rows into contiguous shards of at least
-`MIN_ROWS` rows, as many as the cores and rows allow, one per worker
-process. A prediction worker runs its shard in the `chunk_bounds` chunks of
-`batch_size`, so `batch_size` bounds the rows that one process holds at
-once, not how rows are spread over workers. A training worker runs its
-rows' forward and backward pass in one chunk, leaving every layer's
-reduction inputs (`reduce_shapes`) in full-batch arena arrays and dropping
-the layer's own cache as it goes. Then each layer's weight-gradient
+`MIN_ROWS` rows, one per worker process, and each worker runs its shard with
+`Model.forward`: a prediction in the `chunk_bounds` chunks of `batch_size`,
+so `batch_size` bounds the rows one process holds at once, not how rows are
+spread over workers; a training call in one chunk, followed by its backward pass,
+which leaves every layer's reduction inputs in full-batch arena arrays and
+drops the layer's own cache as it goes. Then each layer's weight-gradient
 reduction runs once over the full batch on one worker, with the layer's own
 `reduce`, so the summation order is that of an unsharded call. The caller
 keeps the loss and the optimiser step.
 
 Every per-row operation gives a row the same bits whatever rows share its
-shard or chunk, and every BLAS call runs on one thread, as on a single-core
-host, which runs the same layers and chunks in-process with no workers.
-Output bytes therefore depend neither on the number of cores nor, for a
-prediction, on `batch_size`.
+shard or chunk, and every BLAS call runs on one thread, as on a host with no
+pool (one core, or no `os.memfd_create`), where `executor` yields the `Model`
+itself. Output bytes therefore depend neither on the number of cores nor, for
+a prediction, on `batch_size`. That in-process path stays: on one core
+(`taskset -c 0`) a one-worker pool keeps the bytes but raises the peak summed
+Pss of a `train_model` call on 32 + 32 windows (GRUc1 361 -> 473 MB, CNNc1
+1176 -> 1363 MB), and Pythons built against glibc < 2.27 have no memfd.
 
-Workers are `python -m strokedet.shard_worker` children that import the
+Workers are `python -m strokedet.shard_worker` children that must import the
 caller's own `strokedet` sources and run with one OpenBLAS thread each: the
-GRU recurrence holds the GIL, so processes, not threads, overlap it, and the
-conv layers' elementwise work runs on every core. They share arrays through
-one `memfd` arena mapped by every process and take small pickled messages
-on stdin/stdout. Once a call's layout is complete, the arena gives back the
-pages beyond it, so it holds no more than the call needs; calls of one size
-keep their pages. The pool starts on the first model call, serves one
-call at a time to any thread, and is closed and waited for at exit. A worker
-that dies fails its call with `StrokedetError` and the next call starts a
-new pool; an error raised in a worker is raised again in the caller with its
-own type and exit code.
+GRU recurrence holds the GIL, so processes, not threads, overlap it. They
+share arrays through one `memfd` arena and take small pickled messages on
+stdin/stdout. A call lays out all its arrays, reduction inputs included
+(`reduce_shapes`, from the layers and the window length alone), before its
+first round and sizes the arena to that layout once, giving back the pages
+beyond it; calls of one size keep their pages. The pool starts on the first
+model call, serves one call at a time to any thread, and is closed and
+waited for at exit. A worker that dies fails its call with `StrokedetError`
+and the next call starts a new pool; an error raised in a worker is raised
+again in the caller with its own type and exit code.
 """
 
 from __future__ import annotations
@@ -87,10 +89,11 @@ def chunk_bounds(rows: int, batch_size: int | None) -> list:
 class Arena:
     """float64 arrays at byte offsets of one memfd, mapped by every process.
 
-    A ref is (offset, shape). The caller grows the file and trims it; a
-    worker maps the size it is told. Growing keeps earlier mappings valid:
-    they map the same pages. Trimming frees the pages beyond a size and
-    keeps the file's size, so every mapping stays valid and reads zeros there.
+    A ref is (offset, shape). The caller sizes the file with `fit`, once per
+    call; a worker maps the size it is told. Growing keeps earlier mappings
+    valid: they map the same pages. Shrinking frees the pages beyond a size
+    and keeps the file's size, so every mapping stays valid and reads zeros
+    there.
     """
 
     def __init__(self, fd: int):
@@ -103,16 +106,14 @@ class Arena:
             self.map = mmap.mmap(self.fd, size)
             self.size = size
 
-    def reserve(self, size: int) -> None:
+    def fit(self, size: int) -> None:
+        """Holds `size` bytes, rounded up to whole pages, and no page beyond."""
+        size = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
         if size > self.size:
-            size = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
             os.ftruncate(self.fd, size)
             self.attach(size)
-
-    def trim(self, size: int) -> None:
-        start = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
-        if start < self.size:
-            self.map.madvise(mmap.MADV_REMOVE, start, self.size - start)
+        elif size < self.size:
+            self.map.madvise(mmap.MADV_REMOVE, size, self.size - size)
 
     def array(self, ref) -> np.ndarray:
         offset, shape = ref
@@ -157,7 +158,12 @@ class Pool:
                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
                     pass_fds=(self.arena.fd,),
                 ))
-            self.worker_files = [self._recv(proc)[1] for proc in self.procs]
+            ours = Path(__file__).resolve().with_name("__init__.py")
+            for proc in self.procs:
+                theirs = self._recv(proc)[1]
+                if Path(theirs).resolve() != ours:
+                    raise StrokedetError(f"shard worker {proc.pid} imports strokedet from "
+                                         f"{theirs}, not from the caller's {ours}")
         except BaseException:
             self.close()
             raise
@@ -214,58 +220,39 @@ class Pool:
         os.close(self.arena.fd)
 
 
-class _InProcess:
-    """One shard: the model's own forward and backward in this process, on a
-    host with one core or without memfd."""
-
-    def __init__(self, model):
-        self.model = model
-
-    def forward(self, x: np.ndarray, train: bool = False,
-                batch_size: int | None = None) -> np.ndarray:
-        return np.concatenate([self.model.forward(x[lo:hi])
-                               for lo, hi in chunk_bounds(len(x), batch_size)])
-
-    def backward(self, gy: np.ndarray) -> None:
-        self.model.backward(gy)
-
-
 class _Sharded:
     """One model call split over the pool's workers."""
 
     def __init__(self, pool: Pool, model, bounds: list):
         self.pool, self.model, self.bounds = pool, model, bounds
-        self.layout = _Layout()
 
     def _round(self, messages: list) -> list:
         size = self.pool.arena.size
         return self.pool.run([(op, size, *args) for op, *args in messages])
 
-    def forward(self, x: np.ndarray, train: bool = False,
-                batch_size: int | None = None) -> np.ndarray:
-        arena, layout = self.pool.arena, self.layout
-        params = {name: layout.add(value.shape) for name, value in self.model.named_params()}
+    def forward(self, x: np.ndarray, batch_size: int | None = None) -> np.ndarray:
+        arena, layout, model = self.pool.arena, _Layout(), self.model
+        params = {name: layout.add(value.shape) for name, value in model.named_params()}
         xref, pref = layout.add(x.shape), layout.add(x.shape[:2])
-        arena.reserve(layout.end)
-        if not train:  # a prediction's layout is complete here
-            arena.trim(layout.end)
-        for name, value in self.model.named_params():
+        if batch_size is None:  # a training call: lay out its backward pass too
+            rows, t = x.shape[:2]  # a flatten layer comes last: every layer sees t
+            gref = layout.add((rows, t))
+            reds = [{name: layout.add((rows,) + shape) for name, shape in obj.reduce_shapes(t).items()}
+                    for obj in model.layers]
+            grads = [{name: layout.add(value.shape) for name, value in obj.params.items()}
+                     for obj in model.layers]
+            self.refs = gref, reds, grads
+        arena.fit(layout.end)
+        for name, value in model.named_params():
             arena.array(params[name])[...] = value
         arena.array(xref)[...] = x
-        self.shapes = self._round([("forward", lo, hi, self.model.spec, params, xref, pref, train,
-                                    batch_size) for lo, hi in self.bounds])[0]
+        self._round([("forward", lo, hi, model.spec, params, xref, pref, batch_size)
+                     for lo, hi in self.bounds])
         return arena.array(pref).copy()
 
     def backward(self, gy: np.ndarray) -> None:
-        arena, layout, layers = self.pool.arena, self.layout, self.model.layers
-        rows = gy.shape[0]
-        gref = layout.add(gy.shape)
-        reds = [{name: layout.add((rows,) + shape) for name, shape in layer.items()}
-                for layer in self.shapes]
-        grads = [{name: layout.add(value.shape) for name, value in obj.params.items()}
-                 for obj in layers]
-        arena.reserve(layout.end)
-        arena.trim(layout.end)
+        arena, layers = self.pool.arena, self.model.layers
+        gref, reds, grads = self.refs
         arena.array(gref)[...] = gy
         self._round([("backward", lo, hi, gref, reds) for lo, hi in self.bounds])
         # each layer's reduction runs whole on one worker, largest layers first
@@ -294,8 +281,10 @@ def _shared_pool():
     global _POOL
     with _POOL_LOCK:
         if _POOL is None or _POOL.closed or _POOL.pid != os.getpid():  # not a fork's
+            if not hasattr(os, "memfd_create"):  # nor sched_getaffinity, off Linux
+                return None
             n = min(_cores(), MAX_WORKERS)
-            if n < 2 or not hasattr(os, "memfd_create"):
+            if n < 2:
                 return None
             _POOL = Pool(n)
         return _POOL
@@ -313,11 +302,12 @@ atexit.register(close_pool)
 @contextmanager
 def executor(model, rows: int):
     """Runs one call of `model` on `rows` rows: `forward` and then, when
-    training, `backward` with the gradient w.r.t. the output."""
+    training, `backward` with the gradient w.r.t. the output. With no pool
+    it yields `model` itself."""
     while True:
         pool = _shared_pool()
         if pool is None:
-            yield _InProcess(model)
+            yield model
             return
         with pool.lock:
             if not pool.closed:  # else another thread lost a worker since

@@ -100,7 +100,12 @@ class TestEventFiles:
         '{"kind": "onset"}',
         '{"t": "three", "kind": "onset"}',
         '{"t": Infinity, "kind": "onset"}',
-    ], ids=["truncated", "not-object", "missing-t", "text-t", "infinite-t"])
+        '{"t": 12.7, "kind": "onset"}',
+        '{"t": 12.0, "kind": "onset"}',
+        '{"t": true, "kind": "onset"}',
+        '{"t": 3, "kind": "sideways"}',
+    ], ids=["truncated", "not-object", "missing-t", "text-t", "infinite-t", "fractional-t", "float-t",
+            "bool-t", "unknown-kind"])
     def test_malformed_record_rejected(self, tmp_path, record):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"frame": "run"}\n' + record + "\n")

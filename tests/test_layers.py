@@ -277,6 +277,28 @@ class TestBidirectionalForward:
         assert out.shape == (5, 8)
 
 
+_LAYERS = {
+    "conv1d": lambda t: Conv1D(2, 3, 3),
+    "conv1d_k1": lambda t: Conv1D(2, 1, 1, "linear"),
+    "dense_flatten": lambda t: DenseFlatten(t, 2, 4),
+    "dense_td": lambda t: DenseTimeDistributed(2, 3),
+    "gru": lambda t: GRU(2, 4),
+    "bgru": lambda t: BiGRU(2, 4),
+}
+
+
+@pytest.mark.parametrize("t", [7, 12])
+@pytest.mark.parametrize("kind", list(_LAYERS))
+def test_reduce_shapes_are_the_per_row_shapes_of_the_reduction_inputs(kind, t):
+    rng = np.random.default_rng(0)
+    layer = _LAYERS[kind](t)
+    for name, value in layer.params.items():
+        layer.params[name] = rng.uniform(-1, 1, value.shape)
+    y = layer.forward(rng.uniform(-1, 1, (3, t, 2)))
+    _, red = layer.backward_rows(rng.uniform(-1, 1, y.shape))
+    assert {name: value.shape[1:] for name, value in red.items()} == layer.reduce_shapes(t)
+
+
 class TestModelForward:
     def test_zero_params_zero_output(self):
         spec = build_architecture("gruc1")

@@ -285,7 +285,12 @@ def test_detections_jsonl_roundtrip(tmp_path):
     '{"t": 10, "kind": "onset"}',
     '{"t": 10, "kind": "onset", "score": "high"}',
     '"run01:0"',
-], ids=["truncated", "missing-score", "text-score", "not-object"])
+    '{"t": 12.7, "kind": "onset", "score": 0.5}',
+    '{"t": true, "kind": "onset", "score": 0.5}',
+    '{"t": 10, "kind": "sideways", "score": 0.5}',
+    '{"t": 10, "score": 0.5}',
+], ids=["truncated", "missing-score", "text-score", "not-object", "fractional-t", "bool-t",
+        "unknown-kind", "missing-kind"])
 def test_malformed_detection_record_rejected(tmp_path, record):
     path = tmp_path / "dets.jsonl"
     path.write_text('{"window": "run01:0"}\n' + record + "\n")

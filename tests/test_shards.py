@@ -3,6 +3,7 @@ that never outlive their caller, and errors that reach it."""
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -185,25 +186,45 @@ def test_a_smaller_call_gives_back_the_arena_pages_beyond_its_layout(cores, fres
 
 
 def test_same_size_training_steps_keep_their_arena_pages(cores, fresh_pool, monkeypatch):
+    # the arena is sized once per call, and a step of one size frees no page
     cores(2)
-    trimmed = []
-    trim = shards.Arena.trim
+    freed = []
+    fit = shards.Arena.fit
 
     def counted(arena, size):
-        trimmed.append(_held(arena))
-        trim(arena, size)
-        trimmed[-1] -= _held(arena)
-    monkeypatch.setattr(shards.Arena, "trim", counted)
+        freed.append(_held(arena))
+        fit(arena, size)
+        freed[-1] -= _held(arena)
+    monkeypatch.setattr(shards.Arena, "fit", counted)
     spec = build_architecture("gruc1")
     X, Y = _data(12, 30)
     train_model(spec, list(zip(X, Y)), TrainConfig(epochs=2, batch_size=4, seed=0))
-    assert len(trimmed) == 6 and not any(trimmed)
+    assert len(freed) == 6 and not any(freed)
 
 
 def test_worker_runs_the_callers_sources(cores, fresh_pool):
+    # the pool checks each worker's sources as it starts
     cores(2)
     pool = shards._shared_pool()
-    assert pool.worker_files == [strokedet.__file__] * len(pool.procs)
+    assert pool is not None and not pool.closed
+
+
+def test_a_host_without_memfd_or_affinity_runs_in_process(monkeypatch):
+    # as on macOS or Windows: the model runs itself, and no pool starts
+    monkeypatch.setattr(shards, "_POOL", None)
+    monkeypatch.delattr(os, "memfd_create")
+    monkeypatch.delattr(os, "sched_getaffinity")
+
+    def no_pool(n):
+        raise AssertionError("a pool was started")
+    monkeypatch.setattr(shards, "Pool", no_pool)
+    spec = build_architecture("gruc1")
+    model = Model(spec, init_params(spec, 0))
+    X, Y = _data(5, 20)
+    assert model.predict(X, batch_size=2).shape == (5, 20)
+    assert np.isfinite(model.mse_step(X[:, :, None], Y))
+    assert set(model.gradients()) == set(init_params(spec, 0))
+    assert shards._POOL is None
 
 
 def _workspace(root: Path) -> Path:
@@ -259,11 +280,11 @@ def test_killed_worker_fails_the_call_and_the_next_call_works(tmp_path, monkeypa
 
         forward = ar.Model.forward
 
-        def killed_once(self, x):
+        def killed_once(self, x, batch_size=None):
             try:
                 os.close(os.open({str(marker)!r}, os.O_CREAT | os.O_EXCL))
             except FileExistsError:
-                return forward(self, x)
+                return forward(self, x, batch_size)
             os.kill(os.getpid(), signal.SIGKILL)
 
         ar.Model.forward = killed_once
@@ -283,7 +304,7 @@ def test_numeric_error_in_worker_keeps_its_exit_code(tmp_path, monkeypatch, core
         import strokedet.architectures as ar
         from strokedet.errors import NumericError
 
-        def fails(self, x):
+        def fails(self, x, batch_size=None):
             raise NumericError("injected")
 
         ar.Model.forward = fails
@@ -292,6 +313,18 @@ def test_numeric_error_in_worker_keeps_its_exit_code(tmp_path, monkeypatch, core
     with pytest.raises(NumericError, match="injected") as info:
         _gru_call()()
     assert info.value.exit_code == 4
+
+
+def test_a_worker_that_imports_other_sources_is_refused(tmp_path, monkeypatch, cores, fresh_pool):
+    _inject(tmp_path, monkeypatch, """
+        import strokedet
+
+        strokedet.__file__ = "/elsewhere/strokedet/__init__.py"
+    """)
+    cores(2)
+    ours = re.escape(str(Path(strokedet.__file__).resolve()))
+    with pytest.raises(StrokedetError, match=f"/elsewhere/strokedet/__init__.py.*{ours}"):
+        _gru_call()()
 
 
 def test_concurrent_training_threads_get_the_serial_bytes(cores):
