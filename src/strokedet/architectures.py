@@ -299,6 +299,7 @@ class Model:
 
     def __init__(self, spec: ArchitectureSpec, params: dict):
         self.spec = spec
+        self.caches = []
         self.layers = [layer_kind(layer.kind).build(layer, spec.input_length) for layer in spec.layers]
         self.prefixes = [layer_prefix(i, layer) for i, layer in enumerate(spec.layers)]
         expected = {f"{prefix}.{key}" for prefix, obj in zip(self.prefixes, self.layers) for key in obj.params}
@@ -324,29 +325,33 @@ class Model:
 
     def forward(self, x: np.ndarray, batch_size: int | None = None) -> np.ndarray:
         """(batch, time, 1) -> (batch, time) model output, in the
-        `shards.chunk_bounds` chunks of `batch_size`: with None in one chunk,
-        whose caches `backward` then uses."""
+        `shards.chunk_bounds` chunks of `batch_size`; with None (training) in
+        one chunk, whose layer caches `caches` keeps for `backward`."""
+        self.caches = []  # drops what a step with a non-finite loss left
         chunks = []
         for lo, hi in shards.chunk_bounds(len(x), batch_size):
             y = x[lo:hi]
             for obj in self.layers:
-                y = obj.forward(y)
+                y, cache = obj.forward(y)
+                if batch_size is None:
+                    self.caches.append(cache)
+                del cache  # a prediction's dies here, before the next layer runs
             chunks.append(y[:, :, 0])
         return np.concatenate(chunks)
 
     def backward(self, gy: np.ndarray, outs: list | None = None) -> np.ndarray:
-        """Backpropagates `gy`, (batch, time), through the last `forward`.
+        """Backpropagates `gy`, (batch, time), through the last training
+        `forward`, popping each layer's cache as the layer takes it.
 
         Without `outs` each layer reduces its weight gradients as it goes.
         With `outs`, one dict of buffers per layer shaped as its
         `reduce_shapes` says, each layer only writes its reduction inputs
         there for `reduce`.
-        Either way each layer drops its forward cache.
         """
         g = gy[:, :, None]
         for i in reversed(range(len(self.layers))):
-            obj = self.layers[i]
-            g = obj.backward(g) if outs is None else obj.backward_rows(g, outs[i])[0]
+            obj, cache = self.layers[i], self.caches.pop()
+            g = obj.backward(g, cache) if outs is None else obj.backward_rows(g, cache, outs[i])[0]
         return g
 
     def gradients(self) -> dict:

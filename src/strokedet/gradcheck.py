@@ -39,7 +39,7 @@ def _randomize(layer, rng):
 
 
 def _loss(layer, x, target):
-    out = layer.forward(x)
+    out, _ = layer.forward(x)
     return float(np.mean((out - target) ** 2))
 
 
@@ -47,8 +47,7 @@ def _relu_margin(layer, x) -> float:
     """Smallest |pre-activation| seen; FD steps must not cross a ReLU kink."""
     if not (isinstance(layer, Conv1D) and layer.activation == "relu"):
         return np.inf
-    layer.forward(x)
-    _, a = layer._cache
+    _, (_, a) = layer.forward(x)
     return float(np.abs(a).min())
 
 
@@ -72,10 +71,10 @@ def gradient_check(layer_kind: str, shape, seed: int, epsilon: float = 1e-4) -> 
     else:
         raise ConfigError(f"could not find a kink-free draw for {layer_kind} {shape}")
 
-    out = layer.forward(x)
+    out, cache = layer.forward(x)
     target = rng.uniform(-1.0, 1.0, size=out.shape)
     gy = 2.0 * (out - target) / out.size
-    dx = layer.backward(gy)
+    dx = layer.backward(gy, cache)
 
     worst = 0.0
 

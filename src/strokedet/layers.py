@@ -1,13 +1,14 @@
 """Sequence-model layers: forward passes and exact backpropagation in numpy.
 
-All layers operate on float64 arrays shaped (batch, time, channels) and keep
-whatever caches the backward pass needs. Every layer exposes `params` and
-`grads` dicts keyed by array name; `backward` consumes the gradient w.r.t. the
-layer output and returns the gradient w.r.t. the layer input while filling
-`grads`. It runs two parts: `backward_rows`, which works row by row and
-returns the input gradient with the reduction inputs (optionally written or
-copied into caller buffers, shaped as `reduce_shapes(t)` says for windows of
-t samples) and drops the layer's forward cache, and `reduce`, which fills
+All layers operate on float64 arrays shaped (batch, time, channels) and hold
+no activations: `forward(x)` returns `(y, cache)`, a list the caller keeps of
+what backward needs. Every layer exposes `params` and `grads` dicts keyed by
+array name; `backward(gy, cache)` takes the gradient w.r.t. the layer output
+and returns the gradient w.r.t. the layer input while filling `grads`. It
+runs two parts: `backward_rows(gy, cache)`, which works row by row, empties
+`cache` as it unpacks it and returns the input gradient with the reduction
+inputs (optionally written or copied into caller buffers, shaped as
+`reduce_shapes(t)` says for windows of t samples), and `reduce`, which fills
 `grads` from reduction inputs of a whole batch. Row shards of a batch can run
 the first part apart (`strokedet.shards`) and leave the second to one process.
 
@@ -71,9 +72,9 @@ def _reduction_inputs(out: dict | None, **arrays) -> dict:
     return {name: out[name] for name in arrays}
 
 
-def _backward(self, gy: np.ndarray) -> np.ndarray:
+def _backward(self, gy: np.ndarray, cache: list) -> np.ndarray:
     """The per-row part and the reduction run together: `gy` -> dx, filling `grads`."""
-    dx, red = self.backward_rows(gy)
+    dx, red = self.backward_rows(gy, cache)
     self.reduce(red)
     return dx
 
@@ -95,9 +96,8 @@ class Conv1D:
             "bias": np.zeros(out_channels),
         }
         self.grads = {}
-        self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple:
         kernel = self.params["kernel"]
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ConfigError(
@@ -109,14 +109,14 @@ class Conv1D:
         a = np.broadcast_to(self.params["bias"], (b, t, self.out_channels)).copy()
         for j in range(self.kernel_size):
             a += xp[:, j:j + t] @ kernel[j]
-        self._cache = (xp, a)
-        return self._act(a)
+        return self._act(a), [xp, a]
 
     def reduce_shapes(self, t: int) -> dict:
         return {"xp": (t + self.kernel_size - 1, self.in_channels), "da": (t, self.out_channels)}
 
-    def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
-        (xp, a), self._cache = self._cache, None
+    def backward_rows(self, gy: np.ndarray, cache: list, out: dict | None = None) -> tuple:
+        xp, a = cache
+        cache.clear()
         kernel = self.params["kernel"]
         t = gy.shape[1]
         pad = (self.kernel_size - 1) // 2
@@ -153,9 +153,8 @@ class DenseFlatten:
             "bias": np.zeros(out_units),
         }
         self.grads = {}
-        self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple:
         if x.shape[1:] != (self.in_time, self.in_channels):
             raise ConfigError(
                 f"dense(flatten) expects (batch, {self.in_time}, {self.in_channels}), got {x.shape}"
@@ -163,14 +162,14 @@ class DenseFlatten:
         b = x.shape[0]
         xf = x.reshape(b, -1)
         a = xf @ self.params["weight"] + self.params["bias"]
-        self._cache = (xf, a)
-        return self._act(a).reshape(b, self.out_units, 1)
+        return self._act(a).reshape(b, self.out_units, 1), [xf, a]
 
     def reduce_shapes(self, t: int) -> dict:
         return {"xf": (t * self.in_channels,), "da": (self.out_units,)}
 
-    def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
-        (xf, a), self._cache = self._cache, None
+    def backward_rows(self, gy: np.ndarray, cache: list, out: dict | None = None) -> tuple:
+        xf, a = cache
+        cache.clear()
         b = gy.shape[0]
         da = self._act_grad(a, gy.reshape(b, self.out_units), None if out is None else out["da"])
         dx = da @ self.params["weight"].T
@@ -197,22 +196,21 @@ class DenseTimeDistributed:
             "bias": np.zeros(out_units),
         }
         self.grads = {}
-        self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple:
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ConfigError(
                 f"dense(timedistributed) expects (batch, time, {self.in_channels}), got {x.shape}"
             )
         a = x @ self.params["weight"] + self.params["bias"]
-        self._cache = (x, a)
-        return self._act(a)
+        return self._act(a), [x, a]
 
     def reduce_shapes(self, t: int) -> dict:
         return {"x": (t, self.in_channels), "da": (t, self.out_units)}
 
-    def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
-        (x, a), self._cache = self._cache, None
+    def backward_rows(self, gy: np.ndarray, cache: list, out: dict | None = None) -> tuple:
+        x, a = cache
+        cache.clear()
         da = self._act_grad(a, gy, None if out is None else out["da"])
         return da @ self.params["weight"].T, {**_reduction_inputs(out, x=x), "da": da}
 
@@ -241,9 +239,8 @@ class GRU:
             "bu": np.zeros(3 * h),
         }
         self.grads = {}
-        self._cache = None
 
-    def forward(self, x: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple:
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ConfigError(f"gru expects (batch, time, {self.in_channels}), got {x.shape}")
         b, t, _ = x.shape
@@ -253,7 +250,7 @@ class GRU:
         np.matmul(x, self.params["W"], out=g.transpose(1, 0, 2))
         g += self.params["bw"]
         hs = np.empty((t + 1, b, h))
-        hs[0] = 0.0 if h0 is None else h0
+        hs[0] = 0.0
         ghn = np.empty((t, b, h))
         gh = np.empty((b, 3 * h))
         tmp = np.empty((b, h))
@@ -271,15 +268,15 @@ class GRU:
             np.subtract(1.0, z, out=tmp)
             tmp *= n
             hs[step + 1] += tmp
-        self._cache = (x, hs, g, ghn)
-        return hs[1:].transpose(1, 0, 2)
+        return hs[1:].transpose(1, 0, 2), [x, hs, g, ghn]
 
     def reduce_shapes(self, t: int) -> dict:
         h, h3 = self.hidden, 3 * self.hidden
         return {"x": (t, self.in_channels), "dgx": (t, h3), "hprev": (t, h), "dgh": (t, h3)}
 
-    def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
-        (x, hs, g, ghn), self._cache = self._cache, None
+    def backward_rows(self, gy: np.ndarray, cache: list, out: dict | None = None) -> tuple:
+        x, hs, g, ghn = cache
+        cache.clear()
         b, t, h = gy.shape
         # a contiguous copy: a transposed view sends products of <= 18 rows
         # through a BLAS small-matrix kernel whose rows differ in the last
@@ -350,12 +347,12 @@ class BiGRU:
     def _sides(self):
         return (("fwd", self.fwd), ("bwd", self.bwd))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple:
         for side, gru in self._sides():
             gru.params = {k: self.params[f"{side}.{k}"] for k in gru.params}
-        yf = self.fwd.forward(x)
-        yb = self.bwd.forward(x[:, ::-1])[:, ::-1]
-        return np.concatenate([yf, yb], axis=2)
+        yf, cf = self.fwd.forward(x)
+        yb, cb = self.bwd.forward(x[:, ::-1])
+        return np.concatenate([yf, yb[:, ::-1]], axis=2), [cf, cb]
 
     def reduce_shapes(self, t: int) -> dict:
         return {f"{side}.{k}": v for side, gru in self._sides() for k, v in gru.reduce_shapes(t).items()}
@@ -363,10 +360,11 @@ class BiGRU:
     def _split(self, red: dict | None, side: str) -> dict | None:
         return None if red is None else {k[len(side) + 1:]: v for k, v in red.items() if k.startswith(side + ".")}
 
-    def backward_rows(self, gy: np.ndarray, out: dict | None = None) -> tuple:
+    def backward_rows(self, gy: np.ndarray, cache: list, out: dict | None = None) -> tuple:
+        # cache is [forward GRU's, backward GRU's], and each GRU empties its own
         h = self.hidden
-        dxf, redf = self.fwd.backward_rows(gy[:, :, :h], self._split(out, "fwd"))
-        dxb, redb = self.bwd.backward_rows(gy[:, ::-1, h:], self._split(out, "bwd"))
+        dxf, redf = self.fwd.backward_rows(gy[:, :, :h], cache[0], self._split(out, "fwd"))
+        dxb, redb = self.bwd.backward_rows(gy[:, ::-1, h:], cache[1], self._split(out, "bwd"))
         red = {**{f"fwd.{k}": v for k, v in redf.items()}, **{f"bwd.{k}": v for k, v in redb.items()}}
         return dxf + dxb[:, ::-1], red
 
@@ -378,11 +376,11 @@ class BiGRU:
     def _collect_grads(self) -> None:
         self.grads = {f"{side}.{k}": v for side, gru in self._sides() for k, v in gru.grads.items()}
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def backward(self, gy: np.ndarray, cache: list) -> np.ndarray:
         # each direction reduces before the next one runs, so only one
         # direction's reduction inputs are alive at a time
         h = self.hidden
-        dxf = self.fwd.backward(gy[:, :, :h])
-        dxb = self.bwd.backward(gy[:, ::-1, h:])[:, ::-1]
+        dxf = self.fwd.backward(gy[:, :, :h], cache[0])
+        dxb = self.bwd.backward(gy[:, ::-1, h:], cache[1])[:, ::-1]
         self._collect_grads()
         return dxf + dxb

@@ -6,7 +6,8 @@ Requests arrive as pickles on stdin and each gets one `(ok, value)` pickle
 on the original stdout; fd 1 is pointed at stderr so that nothing else
 writes into the reply stream. The worker exits at EOF on stdin. The first
 reply is `(True, strokedet.__file__)`, and the caller refuses a worker that
-imports other sources than its own.
+imports other sources than its own. Each forward request's `Model` replaces
+the last one; a training call's keeps its layer caches for the backward one.
 """
 
 from __future__ import annotations
@@ -36,14 +37,10 @@ class Worker:
 
     def forward(self, lo, hi, spec, params, xref, pref, batch_size):
         arena = self.arena
-        self.model = None  # drops what a step with a non-finite loss left
-        model = Model(spec, {name: arena.array(ref) for name, ref in params.items()})
-        arena.array(pref)[lo:hi] = model.forward(arena.array(xref)[lo:hi], batch_size)
-        if batch_size is None:  # a training call
-            self.model = model  # with its caches, for backward
+        self.model = Model(spec, {name: arena.array(ref) for name, ref in params.items()})
+        arena.array(pref)[lo:hi] = self.model.forward(arena.array(xref)[lo:hi], batch_size)
 
     def backward(self, lo, hi, gref, reds):
-        # each layer drops its cache once its reduction inputs are in the arena
         arena = self.arena
         outs = [{name: arena.array(ref)[lo:hi] for name, ref in red.items()} for red in reds]
         self.model.backward(arena.array(gref)[lo:hi], outs)
@@ -55,7 +52,6 @@ class Worker:
             layer.reduce({name: arena.array(ref) for name, ref in red.items()})
             for name, ref in grads.items():
                 arena.array(ref)[...] = layer.grads[name]
-        self.model = None
 
     def handle(self, message):
         op, size, *args = message

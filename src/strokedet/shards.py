@@ -5,10 +5,10 @@
 layers. The executor cuts the rows into contiguous shards of at least
 `MIN_ROWS` rows, one per worker process, and each worker runs its shard with
 `Model.forward`: a prediction in the `chunk_bounds` chunks of `batch_size`,
-so `batch_size` bounds the rows one process holds at once, not how rows are
-spread over workers; a training call in one chunk, followed by its backward pass,
-which leaves every layer's reduction inputs in full-batch arena arrays and
-drops the layer's own cache as it goes. Then each layer's weight-gradient
+keeping no layer cache, so `batch_size` bounds the rows one process holds at
+once, not how rows are spread over workers; a training call in one chunk, then
+its backward pass, which pops the caches `Model` kept and leaves every layer's
+reduction inputs in full-batch arena arrays. Then each layer's weight-gradient
 reduction runs once over the full batch on one worker, with the layer's own
 `reduce`, so the summation order is that of an unsharded call. The caller
 keeps the loss and the optimiser step.

@@ -81,6 +81,8 @@ def load_arrays(path) -> dict:
             data = np.frombuffer(blob, dtype=dtype, count=int(np.prod(dims, dtype=np.int64)),
                                  offset=offset)
             offset += n_bytes
+            if name in arrays:
+                raise DataError(f"{path}: array {name!r} appears twice")
             arrays[name] = data.reshape(dims).copy()
     except (struct.error, ValueError) as exc:
         raise DataError(f"{path}: truncated container: {exc}") from exc

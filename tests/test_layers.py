@@ -27,12 +27,12 @@ def gru_params(rng, cin, h):
     }
 
 
-def reference_gru_forward(params, x, h0=None):
+def reference_gru_forward(params, x):
     """Per-step GRU with batch-major caches: the exact operation order `GRU` keeps."""
     b, t, _ = x.shape
     h = params["U"].shape[0]
     gx = x @ params["W"] + params["bw"]
-    hidden = np.zeros((b, h)) if h0 is None else np.broadcast_to(h0, (b, h)).astype(np.float64)
+    hidden = np.zeros((b, h))
     cache = {key: np.empty((b, t, h)) for key in ("hprev", "z", "r", "n", "ghn")}
     out = np.empty((b, t, h))
     for step in range(t):
@@ -77,9 +77,10 @@ def reference_gru_backward(params, x, cache, gy):
     return dgx @ params["W"].T, grads
 
 
-def run(layer, x, **kwargs):
+def run(layer, x):
     """One (time, channels) window through a batch-first layer."""
-    return layer.forward(np.asarray(x, dtype=np.float64)[None], **kwargs)[0]
+    y, _ = layer.forward(np.asarray(x, dtype=np.float64)[None])
+    return y[0]
 
 
 def make_gru(params):
@@ -196,37 +197,34 @@ class TestGruForward:
             expected.append(hidden.copy())
         np.testing.assert_allclose(run(make_gru(params), x), np.array(expected), atol=1e-12)
 
-    def test_update_gate_one_copies_h0(self):
+    def test_update_gate_one_keeps_the_zero_state(self):
         rng = np.random.default_rng(3)
         params = gru_params(rng, 2, 4)
         params["bw"] = params["bw"].copy()
         params["bw"][:4] = 1e3  # saturates z at exactly 1.0
-        h0 = rng.uniform(-1, 1, 4)
-        out = run(make_gru(params), rng.uniform(-1, 1, (6, 2)), h0=h0)
-        np.testing.assert_array_equal(out, np.tile(h0, (6, 1)))
+        out = run(make_gru(params), rng.uniform(-1, 1, (6, 2)))
+        np.testing.assert_array_equal(out, np.zeros((6, 4)))
 
     @staticmethod
-    def check_matches_reference_exactly(b, t, cin, h, with_h0):
+    def check_matches_reference_exactly(b, t, cin, h):
         rng = np.random.default_rng(11)
         params = gru_params(rng, cin, h)
         x = rng.uniform(-1, 1, (b, t, cin))
-        h0 = rng.uniform(-1, 1, h) if with_h0 else None
         layer = make_gru(params)
-        expected, cache = reference_gru_forward(params, x, h0)
-        out = layer.forward(x, h0=h0)
+        expected, reference_cache = reference_gru_forward(params, x)
+        out, cache = layer.forward(x)
         np.testing.assert_array_equal(out, expected)
         gy = rng.uniform(-1, 1, out.shape)
-        expected_dx, expected_grads = reference_gru_backward(params, x, cache, gy)
-        np.testing.assert_array_equal(layer.backward(gy), expected_dx)
+        expected_dx, expected_grads = reference_gru_backward(params, x, reference_cache, gy)
+        np.testing.assert_array_equal(layer.backward(gy, cache), expected_dx)
         for key in ("W", "U", "bw", "bu"):
             np.testing.assert_array_equal(layer.grads[key], expected_grads[key])
 
-    @pytest.mark.parametrize("with_h0", [False, True])
-    def test_matches_per_step_reference_exactly(self, with_h0):
-        self.check_matches_reference_exactly(3, 7, 2, 4, with_h0)
+    def test_matches_per_step_reference_exactly(self):
+        self.check_matches_reference_exactly(3, 7, 2, 4)
 
     def test_matches_reference_exactly_at_16_rows_of_64_units(self):
-        self.check_matches_reference_exactly(16, 9, 64, 64, False)
+        self.check_matches_reference_exactly(16, 9, 64, 64)
 
     def test_recurrent_product_uses_contiguous_transpose(self):
         # at <= 18 rows and h = 64 the transposed view of U goes through a
@@ -269,7 +267,7 @@ class TestBidirectionalForward:
         layer = make_bigru(gru_params(rng, 2, 4), gru_params(rng, 2, 4))
         with pytest.raises(ConfigError):
             layer.forward(np.zeros((2, 5, 3)))
-        assert layer.forward(np.zeros((2, 5, 2))).shape == (2, 5, 8)
+        assert layer.forward(np.zeros((2, 5, 2)))[0].shape == (2, 5, 8)
 
     def test_output_width_doubles(self):
         rng = np.random.default_rng(8)
@@ -294,8 +292,8 @@ def test_reduce_shapes_are_the_per_row_shapes_of_the_reduction_inputs(kind, t):
     layer = _LAYERS[kind](t)
     for name, value in layer.params.items():
         layer.params[name] = rng.uniform(-1, 1, value.shape)
-    y = layer.forward(rng.uniform(-1, 1, (3, t, 2)))
-    _, red = layer.backward_rows(rng.uniform(-1, 1, y.shape))
+    y, cache = layer.forward(rng.uniform(-1, 1, (3, t, 2)))
+    _, red = layer.backward_rows(rng.uniform(-1, 1, y.shape), cache)
     assert {name: value.shape[1:] for name, value in red.items()} == layer.reduce_shapes(t)
 
 

@@ -7,7 +7,9 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +227,26 @@ def test_a_host_without_memfd_or_affinity_runs_in_process(monkeypatch):
     assert np.isfinite(model.mse_step(X[:, :, None], Y))
     assert set(model.gradients()) == set(init_params(spec, 0))
     assert shards._POOL is None
+
+
+def test_an_in_process_prediction_holds_no_layer_caches(monkeypatch):
+    # a prediction frees each layer's cache before the next layer runs, so
+    # its peak stays within a few of its widest activations; a training
+    # step's caches are gone once its backward pass has used them
+    monkeypatch.setattr(shards, "_shared_pool", lambda: None)
+    spec = replace(build_architecture("cnnc1"), input_length=200)
+    model = Model(spec, init_params(spec, 0))
+    X, Y = _data(8, 200)
+    activation = 8 * 200 * 512 * 8  # bytes of one (8, 200, 512) float64 array
+    tracemalloc.start()
+    try:
+        model.predict(X, batch_size=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * activation
+    assert np.isfinite(model.mse_step(X[:, :, None], Y))
+    assert model.caches == []
 
 
 def _workspace(root: Path) -> Path:

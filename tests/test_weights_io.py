@@ -69,6 +69,16 @@ def test_every_truncation_rejected(tmp_path):
             load_arrays(path)
 
 
+def test_an_array_name_listed_twice_is_rejected(tmp_path):
+    path = tmp_path / "w.bin"
+    save_arrays(path, {"a": np.zeros(())})
+    blob = path.read_bytes()
+    entry = blob[12:]
+    path.write_bytes(blob[:8] + (2).to_bytes(4, "little") + entry + entry)
+    with pytest.raises(DataError, match=r"w\.bin: array 'a' appears twice"):
+        load_arrays(path)
+
+
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(DataError):
         save_arrays(tmp_path / "w.bin", {"a": np.zeros(3, dtype=np.int32)})
