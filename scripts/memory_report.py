@@ -14,8 +14,10 @@ the process's page tables, about 1 ms per 500 MB mapped on an idle core, so
 a sample of large processes on a busy host can take longer than the
 interval, and the next one then starts at once; the report gives the median
 and largest gap between samples. The report gives the peaks in MB of this
-process, of the workers summed and of the sum at one sample, then the
-arena's size and the pages it holds after the call. Only /proc is read.
+process, of the workers summed and of the sum at one sample; then each
+process's own peak and the sum of those peaks, which does not depend on
+whether the processes peak at the same sample; then the arena's size and the
+pages it holds after the call. Only /proc is read.
 """
 
 import argparse
@@ -58,12 +60,14 @@ def children(pid: int) -> list:
 
 
 class Sampler(threading.Thread):
-    """Peak Pss (kB) of this process, of its children summed, and of both."""
+    """Peak Pss (kB) of this process, of its children summed, of both, and of
+    each process on its own (by pid)."""
 
     def __init__(self):
         super().__init__(daemon=True)
         self.done = threading.Event()
         self.parent = self.workers = self.total = 0
+        self.peaks = {}
         self.starts = []
 
     def run(self):
@@ -71,10 +75,13 @@ class Sampler(threading.Thread):
         while True:
             self.starts.append(time.perf_counter())
             parent = pss_kb(pid)
-            workers = sum(pss_kb(kid) for kid in children(pid))
+            kids = {kid: pss_kb(kid) for kid in children(pid)}
+            workers = sum(kids.values())
             self.parent = max(self.parent, parent)
             self.workers = max(self.workers, workers)
             self.total = max(self.total, parent + workers)
+            for p, kb in [(pid, parent), *kids.items()]:
+                self.peaks[p] = max(self.peaks.get(p, 0), kb)
             if self.done.wait(max(0.0, self.starts[-1] + INTERVAL_S - time.perf_counter())):
                 return
 
@@ -118,6 +125,10 @@ def run(argv=None) -> int:
     print(f"peak Pss, workers summed: {sampler.workers / MB:.1f} MB "
           f"({len(pool.procs) if pool else 0} workers)")
     print(f"peak Pss, sum: {sampler.total / MB:.1f} MB")
+    own = ", ".join(f"{'this process' if p == os.getpid() else f'worker {p}'} {kb / MB:.1f}"
+                    for p, kb in sampler.peaks.items())
+    print(f"peak Pss of each process: {own} MB")
+    print(f"sum of the per-process peaks: {sum(sampler.peaks.values()) / MB:.1f} MB")
     if pool is None or pool.closed:
         print("arena after the call: none (no worker pool)")
     else:

@@ -121,8 +121,10 @@ def materialize_dataset(run_event_pairs, cfg: PipelineConfig) -> WindowDataset:
         target_full = lb.smooth_events(
             events, len(filled), cfg.label_kernel_window, cfg.label_sigma
         )
-        for window in rn.slide_windows(filled, cfg.window_length, cfg.window_stride):
-            xs.append(rn.minmax_normalize(window.values))
+        windows = rn.slide_windows(filled, cfg.window_length, cfg.window_stride)
+        if windows:
+            xs.append(rn.minmax_normalize(np.stack([window.values for window in windows])))
+        for window in windows:
             ys.append(target_full[window.start:window.start + cfg.window_length])
             meta.append({
                 "run_id": window.run_id,
@@ -137,7 +139,7 @@ def materialize_dataset(run_event_pairs, cfg: PipelineConfig) -> WindowDataset:
     if not xs:
         raise DataError("no windows produced; runs shorter than the window length?")
     return WindowDataset(
-        X=np.stack(xs),
+        X=np.concatenate(xs),
         Y=np.stack(ys),
         meta=meta,
         events=window_events,

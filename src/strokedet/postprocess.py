@@ -6,11 +6,11 @@ the 15th percentile of its negative values (endings), reduced to strict local
 extrema, and finally clustered so that near-duplicate detections collapse to
 the strongest one.
 
-Both kinds go through one maxima search on `y = KIND_SIGNS[kind] * x`: endings
-are the maxima of the negated signal, and negation is exact, so no comparison
-changes. The search works on runs of equal values: a run whose two neighbours
-are both lower is a maximum at its lower-half midpoint, and a run touching
-either end of the signal never counts.
+Both kinds come from one search over the runs of equal values: a run whose
+two neighbours are both lower is a maximum (an onset candidate), one whose two
+neighbours are both higher a minimum (an ending candidate), each at its
+lower-half midpoint, and a run touching either end of the signal never counts.
+Both thresholds come from one ascending sort of the window.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,9 @@ class Detection:
     t: int
     kind: str
     score: float
+
+
+_BY_T = attrgetter("t")
 
 
 @dataclass
@@ -58,12 +62,24 @@ class ExtractorConfig:
             raise ConfigError(f"cluster_radius must be >= 0, got {self.cluster_radius}")
 
 
-@lru_cache(maxsize=None)
 def _fit_coefficients(n_points: int, order: int, pos: int) -> np.ndarray:
     """Row c with (least-squares poly fit of y over n points, evaluated at pos) = c @ y."""
     offsets = np.arange(n_points, dtype=np.float64) - pos
     design = np.vander(offsets, N=order + 1, increasing=True)
     return np.linalg.pinv(design)[0]
+
+
+@lru_cache(maxsize=None)
+def _savgol_rows(window: int, order: int) -> tuple:
+    """(centre row, left-edge rows, right-edge rows) of one filter.
+
+    Left-edge row i fits the first i + half + 1 samples at position i; right-edge
+    row j fits the last 2 * half - j samples at their position half.
+    """
+    half = window // 2
+    left = tuple(_fit_coefficients(i + half + 1, order, i) for i in range(half))
+    right = tuple(_fit_coefficients(2 * half - j, order, half) for j in range(half))
+    return _fit_coefficients(window, order, half), left, right
 
 
 def savgol_filter(signal, window: int, order: int = 2) -> np.ndarray:
@@ -83,15 +99,31 @@ def savgol_filter(signal, window: int, order: int = 2) -> np.ndarray:
     if n < window:
         raise DataError(f"signal length {n} is shorter than the filter window {window}")
     half = window // 2
+    center, left, right = _savgol_rows(window, order)
     out = np.empty(n)
-    center = _fit_coefficients(window, order, half)
     out[half:n - half] = np.correlate(x, center, mode="valid")
-    for i in range(half):
-        out[i] = _fit_coefficients(i + half + 1, order, i) @ x[:i + half + 1]
-    for i in range(n - half, n):
-        seg = x[i - half:]
-        out[i] = _fit_coefficients(seg.size, order, half) @ seg
+    # ndarray.dot of two 1-D float64 arrays runs the same dot kernel as `@`,
+    # with less call overhead
+    out[:half] = [row.dot(x[:row.size]) for row in left]
+    out[n - half:] = [row.dot(x[n - row.size:]) for row in right]
     return out
+
+
+def _sorted_percentile(xs: np.ndarray, p: float) -> float:
+    """`np.percentile(xs, p)` of a non-empty ascending array, bit for bit: numpy's
+    linear-method arithmetic on the two samples around rank (n - 1) * p / 100.
+    From rank n - 1 up, numpy takes the last sample twice, with weight rank + 1."""
+    n = xs.size
+    rank = (n - 1) * (p / 100)
+    if rank >= n - 1:
+        i, j, g = n - 1, n - 1, rank + 1
+    else:
+        i = math.floor(rank)
+        j, g = i + 1, rank - i
+    a, b = float(xs[i]), float(xs[j])
+    if g >= 0.5:
+        return b - (b - a) * (1 - g)
+    return a + (b - a) * g
 
 
 def percentile(values, p: float) -> float:
@@ -101,16 +133,7 @@ def percentile(values, p: float) -> float:
         raise DataError("percentile of an empty sequence")
     if not 0.0 <= p <= 100.0:
         raise ConfigError(f"percentile rank must be in [0, 100], got {p}")
-    return float(np.percentile(x, p))
-
-
-def _local_maxima(y: np.ndarray) -> np.ndarray:
-    """Ascending lower-half midpoints of the runs of equal values in `y` whose
-    two neighbouring samples are both lower; runs touching an end never count."""
-    edge = np.flatnonzero(y[1:] != y[:-1])  # last sample of each run but the final one
-    start, end = edge[:-1] + 1, edge[1:]
-    peak = (y[start - 1] < y[start]) & (y[end + 1] < y[end])
-    return (start[peak] + end[peak]) // 2
+    return _sorted_percentile(np.sort(x, axis=None), p)
 
 
 def extract_candidates(filtered, cfg: ExtractorConfig) -> list:
@@ -120,18 +143,24 @@ def extract_candidates(filtered, cfg: ExtractorConfig) -> list:
     A window with no positive (negative) values simply yields no onsets
     (endings)."""
     x = np.asarray(filtered, dtype=np.float64)
-    if not np.isfinite(x).all():
+    xs = np.sort(x)
+    # the sort puts -inf first and +inf and nan last
+    if x.size and not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):
         raise NumericError("non-finite values in filtered output")
-    detections = []
-    for kind, pct in ((ONSET, cfg.upper_pct), (ENDING, cfg.lower_pct)):
-        sign = KIND_SIGNS[kind]
-        y = sign * x
-        side = x[y > 0.0]
-        if side.size:
-            t = _local_maxima(y)
-            t = t[y[t] > sign * percentile(side, pct)]
-            detections += [Detection(ti, kind, s) for ti, s in zip(t.tolist(), x[t].tolist())]
-    return sorted(detections, key=lambda d: d.t)
+    neg, pos = xs.searchsorted(0.0, "left"), xs.searchsorted(0.0, "right")
+    upper = _sorted_percentile(xs[pos:], cfg.upper_pct) if pos < x.size else math.inf
+    lower = _sorted_percentile(xs[:neg], cfg.lower_pct) if neg else -math.inf
+    # runs of equal values: edge holds the last sample of each run but the final one
+    edge = np.flatnonzero(x[1:] != x[:-1])
+    start, end = edge[:-1] + 1, edge[1:]
+    rise = x[start - 1] < x[start]  # neighbours differ from the run, so False means higher
+    fall = x[end + 1] < x[end]
+    t = (start + end) // 2
+    v = x[t]
+    onset = rise & fall & (v > upper)
+    keep = np.flatnonzero(onset | (~(rise | fall) & (v < lower)))
+    return [Detection(ti, ONSET if o else ENDING, s)
+            for ti, o, s in zip(t[keep].tolist(), onset[keep].tolist(), v[keep].tolist())]
 
 
 def cluster_detections(detections, radius: int = 5) -> list:
@@ -148,7 +177,7 @@ def cluster_detections(detections, radius: int = 5) -> list:
     result = []
     for kind in KIND_SIGNS:
         group = []
-        chain = sorted((d for d in detections if d.kind == kind), key=lambda d: d.t)
+        chain = sorted((d for d in detections if d.kind == kind), key=_BY_T)
         for det in chain:
             if group and det.t - group[-1].t > radius:
                 result.append(_representative(group))
@@ -156,7 +185,7 @@ def cluster_detections(detections, radius: int = 5) -> list:
             group.append(det)
         if group:
             result.append(_representative(group))
-    return sorted(result, key=lambda d: d.t)
+    return sorted(result, key=_BY_T)
 
 
 def _representative(group) -> Detection:

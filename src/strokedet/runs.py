@@ -120,15 +120,14 @@ def slide_windows(run: RawRun, length: int = WINDOW_LENGTH, stride: int = WINDOW
 
 
 def minmax_normalize(values) -> np.ndarray:
-    """(x - min) / (max - min); a constant input maps to all zeros."""
+    """(x - min) / (max - min) along the last axis; a constant row maps to all zeros."""
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
         raise DataError("cannot normalize an empty sequence")
-    lo = x.min()
-    hi = x.max()
-    if hi == lo:
-        return np.zeros_like(x)
-    return (x - lo) / (hi - lo)
+    axis = -1 if x.ndim else None
+    lo = x.min(axis=axis, keepdims=True)
+    hi = x.max(axis=axis, keepdims=True)
+    return np.divide(x - lo, hi - lo, out=np.zeros_like(x), where=hi != lo)
 
 
 def subject_aware_split(runs, n_folds: int, holdout_fraction: float, seed: int) -> SplitPlan:

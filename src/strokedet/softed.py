@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -77,31 +78,31 @@ class Assignment:
         rows, cols = np.nonzero(w)
         if rows.size == 0:
             return []
+        weight = w[rows, cols]
         event_t = np.array([e.t for e in self.events])
         detection_t = np.array([d.t for d in self.detections])
-        order = np.lexsort((cols, rows, detection_t[cols], event_t[rows], -w[rows, cols]))
-        free_e = np.ones(w.shape[0], dtype=bool)
-        free_d = np.ones(w.shape[1], dtype=bool)
-        partner = np.full(w.shape[0], -1)  # detection of each event in the last optimum
+        order = np.lexsort((cols, rows, detection_t[cols], event_t[rows], -weight))
         r, c = linear_sum_assignment(w, maximize=True)
-        partner[r] = c
+        partner = dict(zip(r.tolist(), c.tolist()))  # detection of each free event in the last optimum
         target = w[r, c].sum()
+        free_e = [True] * w.shape[0]
+        free_d = [True] * w.shape[1]
         fixed = 0.0
         pairs = []
-        for ei, di in zip(rows[order].tolist(), cols[order].tolist()):
+        for ei, di, wi in zip(rows[order].tolist(), cols[order].tolist(), weight[order].tolist()):
             if not (free_e[ei] and free_d[di]):
                 continue
             free_e[ei] = free_d[di] = False
-            if partner[ei] != di:
-                sub = w[np.ix_(free_e, free_d)]
+            if partner.get(ei) != di:
+                fe, fd = np.flatnonzero(free_e), np.flatnonzero(free_d)
+                sub = w[np.ix_(fe, fd)]
                 r, c = linear_sum_assignment(sub, maximize=True)
-                if fixed + w[ei, di] + sub[r, c].sum() < target - _TOL:
+                if fixed + wi + sub[r, c].sum() < target - _TOL:
                     free_e[ei] = free_d[di] = True
                     continue
-                partner[free_e] = -1
-                partner[np.flatnonzero(free_e)[r]] = np.flatnonzero(free_d)[c]
-            fixed += w[ei, di]
-            pairs.append((ei, di, float(w[ei, di]) / self.k))
+                partner = dict(zip(fe[r].tolist(), fd[c].tolist()))
+            fixed += wi
+            pairs.append((ei, di, wi / self.k))
         pairs.sort()
         return pairs
 
@@ -178,21 +179,24 @@ def membership(t_e, t_d, k) -> float:
     return max(0.0, 1.0 - abs(t_d - t_e) / k)
 
 
+def _timed(item) -> TimedEvent:
+    if isinstance(item, TimedEvent):
+        return item
+    if isinstance(item, (int, float, np.integer, np.floating)):
+        return TimedEvent(float(item), ONSET)
+    if isinstance(item, tuple):
+        return TimedEvent(float(item[0]), item[1])
+    return TimedEvent(float(item.t), item.kind)
+
+
 def _coerce(items) -> list:
-    out = []
-    for item in items:
-        if isinstance(item, TimedEvent):
-            out.append(item)
-        elif isinstance(item, (int, float, np.integer, np.floating)):
-            out.append(TimedEvent(float(item), ONSET))
-        elif isinstance(item, tuple):
-            out.append(TimedEvent(float(item[0]), item[1]))
-        else:
-            out.append(TimedEvent(float(item.t), item.kind))
+    """`items` as TimedEvents sorted by (t, kind); an unknown kind raises ConfigError."""
+    out = [item if type(item) is TimedEvent else _timed(item) for item in items]
     for ev in out:
         if ev.kind not in KIND_SIGNS:
             raise ConfigError(f"unknown event kind {ev.kind!r}")
-    return sorted(out, key=lambda e: (e.t, e.kind))
+    out.sort(key=attrgetter("t", "kind"))
+    return out
 
 
 def associate(events, detections, k) -> Assignment:
@@ -226,17 +230,15 @@ def restrict(assignment: Assignment, valid: range):
     """Events/detections kept for scoring: inside the valid range, with every
     candidate partner inside it too. Returns (events, detections)."""
 
-    def inside(items):
-        t = np.array([x.t for x in items], dtype=np.float64)
-        return (valid.start <= t) & (t < valid.stop)
+    def outside(items):
+        return [i for i, x in enumerate(items) if not valid.start <= x.t < valid.stop]
 
-    event_in = inside(assignment.events)
-    detection_in = inside(assignment.detections)
-    candidate = assignment.weights > 0
-    keep_e = event_in & ~(candidate & ~detection_in[None, :]).any(axis=1)
-    keep_d = detection_in & ~(candidate & ~event_in[:, None]).any(axis=0)
-    return ([e for e, keep in zip(assignment.events, keep_e) if keep],
-            [d for d, keep in zip(assignment.detections, keep_d) if keep])
+    w = assignment.weights
+    out_e, out_d = outside(assignment.events), outside(assignment.detections)
+    drop_e = set(out_e).union(*(np.flatnonzero(w[:, j] > 0).tolist() for j in out_d))
+    drop_d = set(out_d).union(*(np.flatnonzero(w[i] > 0).tolist() for i in out_e))
+    return ([e for i, e in enumerate(assignment.events) if i not in drop_e],
+            [d for i, d in enumerate(assignment.detections) if i not in drop_d])
 
 
 def confusion_from_assignment(assignment: Assignment, n_time: int) -> SoftConfusion:
@@ -292,7 +294,7 @@ def evaluate_windowed(window_sets, n_time: int, cfg: WindowEvalConfig | None = N
     cfg = cfg or WindowEvalConfig()
     valid = valid_range(n_time, cfg.h)
     total = SoftConfusion()
-    histogram = np.zeros(cfg.k + 1, dtype=np.int64)
+    counts = [0] * (cfg.k + 1)
     n_windows = 0
     for events, detections in window_sets:
         full = associate(events, detections, cfg.k)
@@ -300,13 +302,14 @@ def evaluate_windowed(window_sets, n_time: int, cfg: WindowEvalConfig | None = N
         scored = associate(kept_events, kept_detections, cfg.k)
         total += confusion_from_assignment(scored, n_time - 2 * cfg.h)
         for _, _, mu in scored.pairs:
-            histogram[_bucket_index(mu, cfg.k)] += 1
-        histogram[0] += len(scored.unmatched_events) + len(scored.unmatched_detections)
+            counts[_bucket_index(mu, cfg.k)] += 1
+        # pairs are one-to-one, so every other restricted entity is unmatched
+        counts[0] += len(scored.events) + len(scored.detections) - 2 * len(scored.pairs)
         n_windows += 1
     return WindowedEvaluation(
         confusion=total,
         metrics=soft_metrics(total),
-        histogram=histogram,
+        histogram=np.array(counts, dtype=np.int64),
         n_windows=n_windows,
         k=cfg.k,
         h=cfg.h,

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strokedet.errors import ConfigError, DataError
 from strokedet.labels import ENDING, ONSET, EventLabel, smooth_events
 from strokedet.postprocess import (
     Detection,
+    _fit_coefficients,
     ExtractorConfig,
     cluster_detections,
     extract_candidates,
@@ -16,6 +19,19 @@ from strokedet.postprocess import (
     savgol_filter,
     write_detections_jsonl,
 )
+
+
+def _loop_savgol(x, window, order):
+    """The per-row filter `savgol_filter` replaced: one coefficient row per edge sample."""
+    n, half = x.size, window // 2
+    out = np.empty(n)
+    out[half:n - half] = np.correlate(x, _fit_coefficients(window, order, half), mode="valid")
+    for i in range(half):
+        out[i] = _fit_coefficients(i + half + 1, order, i) @ x[:i + half + 1]
+    for i in range(n - half, n):
+        seg = x[i - half:]
+        out[i] = _fit_coefficients(seg.size, order, half) @ seg
+    return out
 
 
 class TestSavgolFilter:
@@ -52,6 +68,15 @@ class TestSavgolFilter:
         signal = a * i**2 + b * i + c
         np.testing.assert_allclose(savgol_filter(signal, window, 2), signal, atol=1e-8)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_row_loop_bit_for_bit(self, data):
+        window = data.draw(st.sampled_from(range(1, 42, 2)), label="window")
+        order = data.draw(st.integers(0, min(3, window - 1)), label="order")
+        n = data.draw(st.integers(window, 120), label="length")
+        x = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+        assert savgol_filter(x, window, order).tobytes() == _loop_savgol(x, window, order).tobytes()
+
 
 class TestPercentile:
     def test_linear_interpolation(self):
@@ -69,6 +94,33 @@ class TestPercentile:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             percentile([], 50)
+
+    @pytest.mark.parametrize("p", [-0.1, 100.5, float("nan")])
+    def test_rank_outside_range_rejected(self, p):
+        with pytest.raises(ConfigError):
+            percentile([1.0, 2.0], p)
+
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])),
+                    min_size=1, max_size=30),
+           st.one_of(st.floats(0.0, 100.0), st.sampled_from([0.0, 100.0, 50.0, 85.0, 15.0])))
+    @example([-0.0], 0.0)
+    @example([-0.0], 100.0)
+    @example([-0.0, -0.0, 1.0], 50.0)
+    @example([0.0, -0.0, -0.0], 50.0)
+    @example([2.5], 42.0)
+    @example([1.0, 1.0, 1.0, 3.0], 85.0)
+    @settings(max_examples=500)
+    def test_equals_numpy_bit_for_bit(self, values, p):
+        with np.errstate(all="ignore"):  # spans near the float range overflow in both
+            want = float(np.percentile(np.array(values), p))
+        got = percentile(values, p)
+        if 0.0 in values and {math.copysign(1.0, v) for v in values if v == 0.0} == {-1.0, 1.0}:
+            # 0.0 and -0.0 tie: numpy's partition and a sort may leave either
+            # one at a rank, so a zero result may carry either sign
+            assert got == want
+        else:
+            assert got.hex() == want.hex()
 
 
 def bump(center, width, height, length=200):

@@ -102,6 +102,15 @@ class TestMinmaxNormalize:
         if once.max() != once.min():
             assert once.min() == 0.0 and once.max() == 1.0
 
+    @given(st.lists(st.lists(st.floats(-1e9, 1e9), min_size=4, max_size=4), min_size=1, max_size=6))
+    def test_rows_normalised_along_last_axis(self, rows):
+        x = np.array(rows + [[2.5] * 4])  # and one constant row
+        out = minmax_normalize(x)
+        for row, got in zip(x, out):
+            lo, hi = row.min(), row.max()
+            want = np.zeros_like(row) if hi == lo else (row - lo) / (hi - lo)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestSubjectAwareSplit:
     def runs_for(self, n_athletes, runs_each=1):

@@ -9,6 +9,7 @@ from strokedet.errors import ConfigError
 from strokedet.labels import ENDING, ONSET
 from strokedet.softed import (
     SoftConfusion,
+    TimedEvent,
     WindowEvalConfig,
     associate,
     evaluate_windowed,
@@ -158,6 +159,13 @@ class TestAssociate:
         with pytest.raises(ConfigError):
             soft_confusion([100], [100], 1000, k)
 
+    def test_unknown_kind_of_timed_events_rejected(self):
+        # TimedEvent does not check its kind; associate does, for every list
+        with pytest.raises(ConfigError, match="'x'"):
+            associate([TimedEvent(100.0, "x")], [TimedEvent(101.0, ONSET)], 15)
+        with pytest.raises(ConfigError, match="'x'"):
+            associate([TimedEvent(100.0, ONSET)], [TimedEvent(101.0, ONSET), TimedEvent(99.0, "x")], 15)
+
     def test_candidate_sets_recorded(self):
         a = associate([100], [90, 108, 200], 15)
         assert a.event_candidates[0] == [0, 1]
@@ -175,6 +183,21 @@ class TestValidRange:
     def test_margin_swallows_window(self):
         with pytest.raises(ConfigError):
             valid_range(30, 15)
+
+
+def _restrict_by_masks(assignment, valid):
+    """The restriction as boolean matrix algebra: an entity is kept when it lies
+    inside `valid` and no candidate partner lies outside it."""
+    def inside(items):
+        t = np.array([x.t for x in items], dtype=np.float64)
+        return (valid.start <= t) & (t < valid.stop)
+
+    event_in, detection_in = inside(assignment.events), inside(assignment.detections)
+    candidate = assignment.weights > 0
+    keep_e = event_in & ~(candidate & ~detection_in[None, :]).any(axis=1)
+    keep_d = detection_in & ~(candidate & ~event_in[:, None]).any(axis=0)
+    return ([e for e, keep in zip(assignment.events, keep_e) if keep],
+            [d for d, keep in zip(assignment.detections, keep_d) if keep])
 
 
 class TestRestrict:
@@ -211,6 +234,13 @@ class TestRestrict:
                 for e in events:
                     if abs(e - d.t) < 15:
                         assert valid.start <= e < valid.stop
+
+    @given(_ENTITIES, _ENTITIES, st.integers(0, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mask_formulation(self, events, detections, h):
+        a = associate(events, detections, 5)
+        valid = valid_range(32, h)
+        assert restrict(a, valid) == _restrict_by_masks(a, valid)
 
 
 class TestSoftConfusion:
