@@ -14,8 +14,6 @@ from .architectures import (
     count_params,
     init_params,
     layer_param_counts,
-    model_forward,
-    mse_loss_and_grads,
 )
 from .errors import ConfigError, DataError, NumericError, StrokedetError
 from .gradcheck import gradient_check

@@ -20,7 +20,7 @@ it binds a params dict at construction, `as_windows` is its input contract,
 mean squared error -> backward step, each call through `shards.executor`,
 which runs it row-sharded on worker processes, whatever the model's layers,
 or hands back the `Model` itself on a host with no worker pool.
-`training`, `model_forward` and `mse_loss_and_grads` all call into it.
+`training` calls into it.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ DENSE_TD = "dense_timedistributed"
 GRU_KIND = "gru"
 BGRU_KIND = "bgru"
 
-# Allocating more than this many parameters requires an explicit opt-in
-# (the dense-head CNN holds ~513M doubles, ~4 GB).
+# `init_params` refuses specs above this many parameters: they can only be
+# counted (the dense-head CNN holds ~513M doubles, 4.1 GB, and Adam training
+# needs at least 4x that).
 LARGE_PARAM_THRESHOLD = 50_000_000
 
 DISPLAY_NAMES = {
@@ -260,17 +261,18 @@ def layer_prefix(index: int, layer: LayerSpec) -> str:
     return f"layer{index:02d}.{layer.kind}"
 
 
-def init_params(spec: ArchitectureSpec, seed: int, allow_large: bool = False) -> dict:
+def init_params(spec: ArchitectureSpec, seed: int) -> dict:
     """Seeded weight arrays for every layer, keyed by '<layer prefix>.<array>'.
 
     Glorot-uniform input/dense/conv weights, per-gate orthogonal recurrent
     weights, zero biases. Architectures above LARGE_PARAM_THRESHOLD parameters
-    are refused unless allow_large is set.
+    are refused: they can only be counted.
     """
     total = count_params(spec)
-    if total > LARGE_PARAM_THRESHOLD and not allow_large:
+    if total > LARGE_PARAM_THRESHOLD:
         raise ConfigError(
-            f"{spec.name} holds {total:,} parameters; pass allow_large to materialize it"
+            f"{spec.name} holds {total:,} parameters: {8 * total / 1e9:.1f} GB of float64 "
+            f"weights and at least {32 * total / 1e9:.1f} GB to train; it can only be counted"
         )
     rng = np.random.default_rng(seed)
     params = {}
@@ -383,24 +385,3 @@ class Model:
                 run.backward(2.0 * (pred - y) / pred.size)
         return loss
 
-
-def model_forward(spec: ArchitectureSpec, params: dict, window) -> np.ndarray:
-    """One value per sample for a single (time,) or (time, 1) window."""
-    return Model(spec, params).predict(np.asarray(window)[None], batch_size=1)[0]
-
-
-def mse_loss_and_grads(spec: ArchitectureSpec, params: dict, window, target):
-    """Mean squared error over the window and gradients for every parameter."""
-    x = as_windows(np.asarray(window)[None])
-    y = np.asarray(target, dtype=np.float64)
-    if y.shape != (x.shape[1],):
-        raise ConfigError(f"target shape {y.shape} does not match window length {x.shape[1]}")
-    model = Model(spec, params)
-    loss = model.mse_step(x, y[None])
-    if not np.isfinite(loss):
-        raise NumericError(f"non-finite loss in {spec.name} forward pass")
-    grads = model.gradients()
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for {name}")
-    return loss, grads

@@ -99,9 +99,7 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs --data and --weights (or --count-only)")
     ds = pl.load_dataset(args.data)
     train, val = _training_sets(ds, cfg, cfg.val_fold)
-    params, history = train_model(
-        spec, train, cfg.train_config(), val_dataset=val, allow_large=args.allow_large
-    )
+    params, history = train_model(spec, train, cfg.train_config(), val_dataset=val)
     save_arrays(args.weights, params)
     if args.weights_json:
         save_arrays_json(args.weights_json, params)
@@ -128,7 +126,7 @@ def _window_outputs(ds: pl.WindowDataset, indices, cfg: PipelineConfig, args) ->
 def cmd_predict(args) -> int:
     cfg = _config(args)
     ds = pl.load_dataset(args.data)
-    indices = ds.partition_indices(args.partition)
+    indices = ds.partition_indices(args.partition, val_fold=cfg.val_fold)
     outputs = _window_outputs(ds, indices, cfg, args)
     extractor = cfg.extractor_config()
     groups = [
@@ -157,7 +155,7 @@ def _fmt(value) -> str:
 def cmd_evaluate(args) -> int:
     cfg = _config(args)
     ds = pl.load_dataset(args.data)
-    indices = ds.partition_indices(args.partition)
+    indices = ds.partition_indices(args.partition, val_fold=cfg.val_fold)
     outputs = _window_outputs(ds, indices, cfg, args)
     result = _evaluate(ds, indices, outputs, cfg)
     out_dir = Path(args.out)
@@ -180,7 +178,7 @@ def cmd_crossval(args) -> int:
         train, _ = _training_sets(ds, cfg, fold)
         if not train:
             raise DataError(f"fold {fold}: empty training set")
-        params, _ = train_model(spec, train, cfg.train_config(), allow_large=args.allow_large)
+        params, _ = train_model(spec, train, cfg.train_config())
         eval_idx = ds.partition_indices(f"fold{fold}")
         outputs = predict_batch(spec, params, ds.X[eval_idx], batch_size=cfg.batch_size)
         result = _evaluate(ds, eval_idx, outputs, cfg)
@@ -262,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", type=Path, default=None, help="output per-epoch loss CSV")
     p.add_argument("--count-only", action="store_true",
                    help="print the exact parameter count and exit")
-    p.add_argument("--allow-large", action="store_true",
-                   help="permit materializing >50M-parameter models")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="extract detections for a partition")
@@ -291,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory for the report")
-    p.add_argument("--allow-large", action="store_true")
     p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("arch", help="print layer tables and exact parameter counts")

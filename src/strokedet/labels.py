@@ -35,10 +35,6 @@ class EventLabel:
         if self.kind not in KIND_SIGNS:
             raise DataError(f"unknown event kind {self.kind!r}")
 
-    @property
-    def sign(self) -> float:
-        return KIND_SIGNS[self.kind]
-
 
 def encode_ternary(events, length: int = 1000) -> np.ndarray:
     """Impulse vector: +1 at onsets, -1 at endings, 0 elsewhere.

@@ -55,8 +55,9 @@ class WindowDataset:
         if partition == "train":
             return self.indices_for(folds)
         if partition == "train_minus_val":
-            if val_fold is None:
-                raise ConfigError("train_minus_val needs a validation fold")
+            if f"fold{val_fold}" not in folds:
+                raise ConfigError(f"train_minus_val needs a validation fold in [0, {len(folds)}), "
+                                  f"got {val_fold}")
             return self.indices_for([f for f in folds if f != f"fold{val_fold}"])
         if partition in folds:
             return self.indices_for([partition])
@@ -218,10 +219,10 @@ def load_dataset(data_dir) -> WindowDataset:
         raise DataError(f"{meta_path}: lists {len(windows)} windows, {bin_path} holds {n}")
     events = [[] for _ in range(n)]
     for w, t, sign in zip(*event_columns):
-        if not 0 <= w < n:
-            raise DataError(f"{bin_path}: event window index {w} outside [0, {n})")
-        if not np.isfinite(t):
-            raise DataError(f"{bin_path}: event time {t} is not finite")
+        if not (0 <= w < n and float(w).is_integer()):
+            raise DataError(f"{bin_path}: event window index {w} is not an integer in [0, {n})")
+        if not (0 <= t < window_length and float(t).is_integer()):
+            raise DataError(f"{bin_path}: event time {t} is not an integer in [0, {window_length})")
         kind = KIND_FROM_SIGN.get(float(sign))
         if kind is None:
             raise DataError(f"{bin_path}: event sign {sign} is neither +1 nor -1")

@@ -83,9 +83,6 @@ class SplitPlan:
     seed: int
     n_folds: int
 
-    def athletes(self, label: str) -> list:
-        return sorted(a for a, lab in self.assignments.items() if lab == label)
-
 
 def interpolate_gaps(run: RawRun) -> RawRun:
     """Fill invalid samples: linear between valid neighbors, hold at the edges.

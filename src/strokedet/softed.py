@@ -55,16 +55,6 @@ class Assignment:
     weights: np.ndarray  # (events, detections): k - |dt| for candidates, else 0
     k: float
 
-    @property
-    def event_candidates(self) -> list:
-        """Per event: detection indices with membership > 0."""
-        return [np.flatnonzero(row).tolist() for row in self.weights]
-
-    @property
-    def detection_candidates(self) -> list:
-        """Per detection: event indices with membership > 0."""
-        return [np.flatnonzero(col).tolist() for col in self.weights.T]
-
     @cached_property
     def pairs(self) -> list:
         """[(event_index, detection_index, membership)], sorted.
@@ -105,16 +95,6 @@ class Assignment:
             pairs.append((ei, di, wi / self.k))
         pairs.sort()
         return pairs
-
-    @property
-    def unmatched_events(self) -> list:
-        used = {ei for ei, _, _ in self.pairs}
-        return [i for i in range(len(self.events)) if i not in used]
-
-    @property
-    def unmatched_detections(self) -> list:
-        used = {di for _, di, _ in self.pairs}
-        return [i for i in range(len(self.detections)) if i not in used]
 
     def total_membership(self) -> float:
         return float(sum(mu for _, _, mu in self.pairs))

@@ -5,8 +5,10 @@ shuffling, and batch reduction order are all derived from the config seed, so
 identical inputs give bit-identical weights.
 
 Every forward and backward pass goes through `architectures.Model`, the one
-execution path: `Model.mse_step` is the training step and `Model.predict`
-the batched inference behind `predict_batch`.
+execution path: `Model.mse_step` is the training step of `train_model`, and
+`Model.predict` the batched inference behind `predict_batch`. Architectures
+that `init_params` refuses (above `LARGE_PARAM_THRESHOLD` parameters) cannot
+be trained.
 """
 
 from __future__ import annotations
@@ -65,8 +67,7 @@ def _eval_loss(model: Model, X: np.ndarray, Y: np.ndarray, batch_size: int) -> f
     return total / Y.size
 
 
-def train_model(spec: ArchitectureSpec, dataset, cfg: TrainConfig, val_dataset=None,
-                allow_large: bool = False):
+def train_model(spec: ArchitectureSpec, dataset, cfg: TrainConfig, val_dataset=None):
     """Returns (params, history); history rows are (epoch, train_loss, val_loss).
 
     `dataset` and `val_dataset` hold (window, target) pairs. val_loss is NaN
@@ -76,7 +77,7 @@ def train_model(spec: ArchitectureSpec, dataset, cfg: TrainConfig, val_dataset=N
     X, Y = _stack_dataset(dataset)
     Xv, Yv = _stack_dataset(val_dataset) if val_dataset else (None, None)
 
-    params = init_params(spec, cfg.seed, allow_large=allow_large)
+    params = init_params(spec, cfg.seed)
     model = Model(spec, params)
     if cfg.optimizer == "adam":
         adam_m = {n: np.zeros_like(p) for n, p in params.items()}

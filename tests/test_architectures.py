@@ -88,7 +88,7 @@ def test_counts_without_allocation():
     # the dense-head CNN must be countable without touching its ~4 GB of weights
     spec = build_architecture("cnn_dense")
     assert count_params(spec) == TOTALS["cnn_dense"]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"4\.1 GB of float64 weights and at least 16\.4 GB to train"):
         init_params(spec, seed=0)
 
 

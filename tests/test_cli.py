@@ -9,6 +9,10 @@ import pytest
 
 from strokedet.architectures import build_architecture, init_params
 from strokedet.cli import main
+from strokedet.config import load_config
+from strokedet.pipeline import load_dataset
+from strokedet.postprocess import extract_events
+from strokedet.softed import evaluate_windowed, metrics_payload
 from strokedet.weights_io import load_arrays, save_arrays
 
 TINY = [
@@ -152,6 +156,35 @@ def test_crossval_report(workspace):
     assert (out / "crossval.txt").read_text().count("GRUc1") == 3
 
 
+def test_evaluate_train_minus_val_partition(workspace, tmp_path):
+    out = tmp_path / "eval"
+    assert main(["evaluate"] + tiny_args([
+        "--data", str(workspace / "data"), "--predict-from-labels", "--out", str(out),
+        "--partition", "train_minus_val",
+    ])) == 0
+    ds = load_dataset(workspace / "data")
+    cfg = load_config(None, TINY)
+    window_sets = [(ds.events[i], extract_events(ds.Y[i], cfg.extractor_config()))
+                   for i in ds.partition_indices("train_minus_val", val_fold=0)]
+    expected = evaluate_windowed(window_sets, ds.window_length, cfg.eval_config())
+    assert 0 < expected.n_windows < len(ds.X)
+    assert json.loads((out / "metrics.json").read_text()) == metrics_payload(expected)
+    assert main(["evaluate"] + tiny_args([
+        "--data", str(workspace / "data"), "--predict-from-labels", "--out", str(out),
+        "--partition", "train_minus_val", "--set", "val_fold=2",
+    ])) == 2
+
+
+@pytest.mark.parametrize("command", ["train", "crossval"])
+def test_count_only_architecture_refused(workspace, tmp_path, command):
+    out = tmp_path / "out"
+    extra = ["--weights", str(out / "w.bin")] if command == "train" else ["--out", str(out)]
+    assert main([command] + tiny_args([
+        "--arch", "cnn_dense", "--data", str(workspace / "data"), *extra,
+    ])) == 2
+    assert not out.exists()
+
+
 def test_arch_table(capsys):
     assert main(["arch", "gruc1"]) == 0
     out = capsys.readouterr().out
@@ -246,6 +279,10 @@ def _without(key):
     ("data", "split.json", _edit_split(_relabel_first_athlete)),
     ("data", "windows.bin", _set_first("event_sign", 0.0)),
     ("data", "windows.bin", _set_first("event_t", np.nan)),
+    ("data", "windows.bin", _set_first("event_t", 3.7)),
+    ("data", "windows.bin", _set_first("event_t", -1.0)),
+    ("data", "windows.bin", _set_first("event_t", 1000.0)),
+    ("data", "windows.bin", _set_first("event_window", 0.5)),
     ("data", "windows.bin", _set_first("event_window", -1.0)),
     ("data", "windows.bin", _set_first("event_window", 1e6)),
     ("data", "windows.bin", _drop_target_rows),
@@ -257,6 +294,7 @@ def _without(key):
     ("data", "split.json", _edit_split(_drop_first_athlete)),
 ], ids=["truncated_manifest", "truncated_meta", "empty_meta", "meta_window_missing", "truncated_split",
         "split_zero_folds", "split_unknown_fold", "event_sign_zero", "event_t_nan",
+        "event_t_fractional", "event_t_negative", "event_t_window_length", "event_window_fractional",
         "event_window_negative", "event_window_past_end", "targets_short", "window_nan",
         "meta_window_no_athlete", "meta_window_not_object", "meta_window_text_start",
         "meta_window_unknown_athlete", "split_athlete_missing"])

@@ -11,8 +11,6 @@ from strokedet.architectures import (
     build_architecture,
     count_params,
     init_params,
-    model_forward,
-    mse_loss_and_grads,
 )
 from strokedet.errors import ConfigError, NumericError
 from strokedet.layers import GRU, BiGRU, Conv1D, DenseFlatten, DenseTimeDistributed
@@ -243,7 +241,7 @@ class TestGruForward:
         x = np.zeros(1000)
         x[1] = np.nan
         with pytest.raises(NumericError):
-            model_forward(spec, init_params(spec, 0), x)
+            Model(spec, init_params(spec, 0)).predict(x[None], batch_size=1)
 
 
 class TestBidirectionalForward:
@@ -301,14 +299,16 @@ class TestModelForward:
     def test_zero_params_zero_output(self):
         spec = build_architecture("gruc1")
         params = {k: np.zeros_like(v) for k, v in init_params(spec, 0).items()}
-        out = model_forward(spec, params, np.random.default_rng(0).normal(size=1000))
+        x = np.random.default_rng(0).normal(size=1000)
+        out = Model(spec, params).predict(x[None], batch_size=1)[0]
         assert out.shape == (1000,) and not out.any()
 
     @pytest.mark.parametrize("name", ["cnnc1", "gruc1", "bgruc1"])
     def test_output_length_preserved(self, name):
         spec = build_architecture(name)
         params = init_params(spec, 1)
-        out = model_forward(spec, params, np.random.default_rng(1).normal(size=(1000, 1)))
+        x = np.random.default_rng(1).normal(size=(1000, 1))
+        out = Model(spec, params).predict(x[None], batch_size=1)[0]
         assert out.shape == (1000,)
 
     def test_cnnc1_matches_layer_composition(self):
@@ -322,7 +322,7 @@ class TestModelForward:
             conv = Conv1D(layer.in_channels, layer.out_units, layer.kernel_size, layer.activation)
             conv.params.update(kernel=params[f"{prefix}.kernel"], bias=params[f"{prefix}.bias"])
             ref = run(conv, ref)
-        out = model_forward(spec, params, x)
+        out = Model(spec, params).predict(x[None], batch_size=1)[0]
         np.testing.assert_allclose(out, ref[:, 0], atol=1e-10)
 
     def test_params_mismatch_rejected(self):
@@ -330,14 +330,16 @@ class TestModelForward:
         params = init_params(spec, 0)
         del params["layer00.gru.W"]
         with pytest.raises(ConfigError):
-            model_forward(spec, params, np.zeros(1000))
+            Model(spec, params).predict(np.zeros((1, 1000)), batch_size=1)
 
 
-class TestMseLossAndGrads:
+class TestMseStep:
     def test_perfect_prediction_zero_everything(self):
         spec = build_architecture("gruc1")
         params = {k: np.zeros_like(v) for k, v in init_params(spec, 0).items()}
-        loss, grads = mse_loss_and_grads(spec, params, np.zeros(1000), np.zeros(1000))
+        model = Model(spec, params)
+        loss = model.mse_step(np.zeros((1, 1000, 1)), np.zeros((1, 1000)))
+        grads = model.gradients()
         assert loss == 0.0
         assert all(not g.any() for g in grads.values())
 
@@ -354,7 +356,9 @@ class TestMseLossAndGrads:
                   "layer00.dense_timedistributed.bias": b}
         x = rng.normal(size=(t, 1))
         y = rng.normal(size=t)
-        loss, grads = mse_loss_and_grads(spec, params, x, y)
+        model = Model(spec, params)
+        loss = model.mse_step(x[None], y[None])
+        grads = model.gradients()
         pred = (x * w[0, 0] + b[0])[:, 0]
         assert loss == pytest.approx(np.mean((pred - y) ** 2), abs=1e-12)
         # analytic: dL/dw = 2/N * x^T (pred - y)

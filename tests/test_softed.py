@@ -118,11 +118,11 @@ class TestAssociate:
         ei, di, mu = a.pairs[0]
         assert a.detections[di].t == 99
         assert mu == pytest.approx(14 / 15, abs=1e-12)
-        assert len(a.unmatched_detections) == 1
+        assert len(a.detections) - len(a.pairs) == 1
 
     def test_no_events(self):
         a = associate([], [500], 15)
-        assert a.pairs == [] and len(a.unmatched_detections) == 1
+        assert a.pairs == [] and len(a.detections) == 1
 
     def test_kinds_never_match(self):
         a = associate([(100, ONSET)], [(100, ENDING)], 15)
@@ -168,8 +168,8 @@ class TestAssociate:
 
     def test_candidate_sets_recorded(self):
         a = associate([100], [90, 108, 200], 15)
-        assert a.event_candidates[0] == [0, 1]
-        assert a.detection_candidates[2] == []
+        assert np.flatnonzero(a.weights[0]).tolist() == [0, 1]
+        assert not a.weights[:, 2].any()
 
 
 class TestValidRange:
