@@ -19,7 +19,7 @@ from .errors import ConfigError, DataError, NumericError, StrokedetError
 from .gradcheck import gradient_check
 from .labels import ENDING, ONSET, EventLabel, encode_ternary, gaussian_smooth
 from .postprocess import Detection, ExtractorConfig, extract_events, savgol_filter
-from .runs import RawRun, SplitPlan, Window, interpolate_gaps, minmax_normalize, slide_windows, subject_aware_split
+from .runs import RawRun, SplitPlan, interpolate_gaps, minmax_normalize, subject_aware_split
 from .softed import (
     Metrics,
     SoftConfusion,

@@ -9,12 +9,16 @@ binary container, metadata in sorted-keys JSON, so reruns are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import labels as lb
 from . import runs as rn
@@ -99,9 +103,7 @@ def load_runs_dir(data_dir):
     if not run_paths:
         raise DataError(f"{data_dir}: no run CSV files found")
     for path in run_paths:
-        run = rn.read_run_csv(path)
-        if run.run_id in boat_types:
-            run.boat_type = boat_types[run.run_id]
+        run = rn.read_run_csv(path, boat_types.get(rn.run_file_ids(path)[0], "canoe"))
         events_path = path.with_suffix("").with_name(path.stem + ".events.jsonl")
         if not events_path.exists():
             raise DataError(f"{events_path}: missing events file for {path.name}")
@@ -113,40 +115,52 @@ def load_runs_dir(data_dir):
 
 
 def materialize_dataset(run_event_pairs, cfg: PipelineConfig) -> WindowDataset:
+    """Windows start at 0, stride, 2*stride, ... of each gap-filled run and are
+    min-max normalized one by one; the trailing remainder is dropped, and a run
+    shorter than one window yields none (warned, not an error). A window's
+    events keep their run order; windows share one EventLabel per (t, kind)."""
     split = rn.subject_aware_split(
         [run for run, _ in run_event_pairs], cfg.n_folds, cfg.holdout_fraction, cfg.seed
     )
-    xs, ys, meta, window_events = [], [], [], []
+    length, stride = cfg.window_length, cfg.window_stride
+    if length <= 0 or stride <= 0:
+        raise ConfigError("window length and stride must be positive")
+    rows = sum(len(range(0, len(run) - length + 1, stride)) for run, _ in run_event_pairs)
+    X, Y = np.empty((rows, length)), np.empty((rows, length))
+    label = functools.cache(lb.EventLabel)  # one shared label per (t, kind) in this call
+    meta, window_events = [], []
     for run, events in run_event_pairs:
         filled = rn.interpolate_gaps(run)
-        target_full = lb.smooth_events(
-            events, len(filled), cfg.label_kernel_window, cfg.label_sigma
-        )
-        windows = rn.slide_windows(filled, cfg.window_length, cfg.window_stride)
-        if windows:
-            xs.append(rn.minmax_normalize(np.stack([window.values for window in windows])))
-        for window in windows:
-            ys.append(target_full[window.start:window.start + cfg.window_length])
-            meta.append({
-                "run_id": window.run_id,
-                "athlete_id": window.athlete_id,
-                "start": window.start,
-            })
+        n = len(filled)
+        target_full = lb.smooth_events(events, n, cfg.label_kernel_window, cfg.label_sigma)
+        if n < length:
+            warnings.warn(f"run {run.run_id}: {n} samples < window length {length}, "
+                          "no windows emitted")
+            continue
+        starts = range(0, n - length + 1, stride)
+        at = slice(len(meta), len(meta) + len(starts))
+        X[at] = rn.minmax_normalize(sliding_window_view(filled.force, length)[::stride])
+        # [:n]: smoothing a run shorter than the kernel returns the kernel's length
+        Y[at] = sliding_window_view(target_full[:n], length)[::stride]
+        order = sorted(range(len(events)), key=lambda i: events[i].t)
+        times = [events[i].t for i in order]
+        for start in starts:
+            meta.append({"run_id": run.run_id, "athlete_id": run.athlete_id, "start": start})
+            lo = bisect_left(times, start)
             window_events.append([
-                lb.EventLabel(t=ev.t - window.start, kind=ev.kind)
-                for ev in events
-                if window.start <= ev.t < window.start + cfg.window_length
+                label(events[i].t - start, events[i].kind)
+                for i in sorted(order[lo:bisect_left(times, start + length, lo)])
             ])
-    if not xs:
+    if not meta:
         raise DataError("no windows produced; runs shorter than the window length?")
     return WindowDataset(
-        X=np.concatenate(xs),
-        Y=np.stack(ys),
+        X=X,
+        Y=Y,
         meta=meta,
         events=window_events,
         split=split,
-        window_length=cfg.window_length,
-        window_stride=cfg.window_stride,
+        window_length=length,
+        window_stride=stride,
     )
 
 
@@ -217,8 +231,9 @@ def load_dataset(data_dir) -> WindowDataset:
     n = X.shape[0]
     if len(windows) != n:
         raise DataError(f"{meta_path}: lists {len(windows)} windows, {bin_path} holds {n}")
+    label = functools.cache(lb.EventLabel)  # one shared label per (t, kind) in this call
     events = [[] for _ in range(n)]
-    for w, t, sign in zip(*event_columns):
+    for w, t, sign in zip(*(column.tolist() for column in event_columns)):
         if not (0 <= w < n and float(w).is_integer()):
             raise DataError(f"{bin_path}: event window index {w} is not an integer in [0, {n})")
         if not (0 <= t < window_length and float(t).is_integer()):
@@ -226,7 +241,7 @@ def load_dataset(data_dir) -> WindowDataset:
         kind = KIND_FROM_SIGN.get(float(sign))
         if kind is None:
             raise DataError(f"{bin_path}: event sign {sign} is neither +1 nor -1")
-        events[int(w)].append(lb.EventLabel(t=int(t), kind=kind))
+        events[int(w)].append(label(int(t), kind))
     return WindowDataset(
         X=X,
         Y=Y,

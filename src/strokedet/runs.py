@@ -1,10 +1,9 @@
-"""Force-run ingestion: gap interpolation, sliding windows, normalization, splits.
+"""Force-run ingestion: gap interpolation, normalization, splits.
 
 A run is a single-channel force recording at 200 Hz with a per-sample validity
 flag (invalid samples mark transmission gaps that arrive pre-flagged in the
-input files). Windows are fixed-length segments cut with a constant stride and
-min-max normalized individually. Dataset splits are subject-aware: all runs of
-an athlete land in exactly one partition.
+input files). Dataset splits are subject-aware: all runs of an athlete land in
+exactly one partition.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import csv
 import json
 import math
 import re
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,8 +20,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 SAMPLE_RATE_HZ = 200
-WINDOW_LENGTH = 1000
-WINDOW_STRIDE = 100
 HOLDOUT = "holdout"
 
 BOAT_TYPES = ("canoe", "kayak")
@@ -61,21 +57,6 @@ class RawRun:
 
 
 @dataclass
-class Window:
-    """A fixed-length signal segment with provenance into its source run."""
-
-    run_id: str
-    athlete_id: str
-    start: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise DataError("window values must be a non-empty 1-D array")
-
-
-@dataclass
 class SplitPlan:
     """Athlete -> partition label ('holdout' or 'fold<i>')."""
 
@@ -94,26 +75,10 @@ def interpolate_gaps(run: RawRun) -> RawRun:
     if run.valid.all():
         return replace(run, force=run.force.copy(), valid=run.valid.copy())
     idx = np.flatnonzero(run.valid)
-    filled = np.interp(np.arange(len(run)), idx, run.force[idx])
-    filled[run.valid] = run.force[run.valid]
+    gaps = np.flatnonzero(~run.valid)
+    filled = run.force.copy()
+    filled[gaps] = np.interp(gaps, idx, run.force[idx])
     return replace(run, force=filled, valid=np.ones(len(run), dtype=bool))
-
-
-def slide_windows(run: RawRun, length: int = WINDOW_LENGTH, stride: int = WINDOW_STRIDE) -> list:
-    """Cut windows at starts 0, stride, 2*stride, ...; trailing remainder is dropped.
-
-    A run shorter than one window yields an empty list (warned, not an error).
-    """
-    if length <= 0 or stride <= 0:
-        raise ConfigError("window length and stride must be positive")
-    n = len(run)
-    if n < length:
-        warnings.warn(f"run {run.run_id}: {n} samples < window length {length}, no windows emitted")
-        return []
-    return [
-        Window(run.run_id, run.athlete_id, s, run.force[s:s + length].copy())
-        for s in range(0, n - length + 1, stride)
-    ]
 
 
 def minmax_normalize(values) -> np.ndarray:
@@ -170,11 +135,17 @@ def write_run_csv(run: RawRun, directory) -> Path:
     return path
 
 
+def run_file_ids(path) -> tuple:
+    """(run_id, athlete_id) from a run<id>_ath<id>.csv file name."""
+    m = _RUN_FILENAME_RE.match(Path(path).name)
+    if m is None:
+        raise DataError(f"{Path(path).name}: filename does not match run<id>_ath<id>.csv")
+    return m.group("run_id"), m.group("athlete_id")
+
+
 def read_run_csv(path, boat_type: str = "canoe") -> RawRun:
     path = Path(path)
-    m = _RUN_FILENAME_RE.match(path.name)
-    if m is None:
-        raise DataError(f"{path.name}: filename does not match run<id>_ath<id>.csv")
+    run_id, athlete_id = run_file_ids(path)
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -202,8 +173,8 @@ def read_run_csv(path, boat_type: str = "canoe") -> RawRun:
         force.append(value)
         valid.append(row[2] == "1")
     return RawRun(
-        run_id=m.group("run_id"),
-        athlete_id=m.group("athlete_id"),
+        run_id=run_id,
+        athlete_id=athlete_id,
         boat_type=boat_type,
         force=np.asarray(force),
         valid=np.asarray(valid),

@@ -32,7 +32,6 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError
 from .labels import KIND_SIGNS, ONSET
@@ -68,6 +67,8 @@ class Assignment:
         rows, cols = np.nonzero(w)
         if rows.size == 0:
             return []
+        from scipy.optimize import linear_sum_assignment  # not at import: shard workers never score
+
         weight = w[rows, cols]
         event_t = np.array([e.t for e in self.events])
         detection_t = np.array([d.t for d in self.detections])

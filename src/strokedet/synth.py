@@ -96,20 +96,24 @@ def generate_run(cfg: SynthConfig, style: AthleteStyle, rng: np.random.Generator
     n_fall = max(1, duration - n_rise)
     shape = _pulse_shape(n_rise, n_fall)
 
+    starts = []
+    while (start := int(round(len(starts) * period))) + shape.size <= n:
+        starts.append(start)
+    jitter = rng.standard_normal(len(starts))  # the stream of one draw per stroke
+    amplitudes = style.amplitude * np.maximum(0.1, 1.0 + cfg.amplitude_jitter * jitter)
+    pulses = amplitudes[:, None] * shape
     signal = np.zeros(n)
-    events = []
-    stroke = 0
-    while True:
-        start = int(round(stroke * period))
-        if start + shape.size > n:
-            break
-        amplitude = style.amplitude * max(0.1, 1.0 + cfg.amplitude_jitter * rng.standard_normal())
-        pulse = amplitude * shape
+    for start, pulse in zip(starts, pulses):  # pulses can overlap at extreme stroke rates
         signal[start:start + shape.size] += pulse
-        above = np.flatnonzero(pulse > GROUND_TRUTH_LEVEL * amplitude)
-        events.append(EventLabel(t=start + int(above[0]), kind=ONSET))
-        events.append(EventLabel(t=start + int(above[-1]), kind=ENDING))
-        stroke += 1
+    above = pulses > GROUND_TRUTH_LEVEL * amplitudes[:, None]
+    if not above.any(axis=1).all():
+        raise ConfigError(f"style {style.athlete_id}: amplitude {style.amplitude} leaves a pulse "
+                          f"with no sample above {GROUND_TRUTH_LEVEL} of its amplitude")
+    first = above.argmax(axis=1).tolist()
+    last = (shape.size - 1 - above[:, ::-1].argmax(axis=1)).tolist()
+    events = []
+    for start, on, off in zip(starts, first, last):
+        events += (EventLabel(t=start + on, kind=ONSET), EventLabel(t=start + off, kind=ENDING))
 
     if cfg.baseline_noise > 0:
         signal = signal + cfg.baseline_noise * rng.standard_normal(n)

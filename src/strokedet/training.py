@@ -14,6 +14,8 @@ be trained.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +37,11 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ConfigError("epochs and batch_size must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not all(isinstance(v, numbers.Integral) and v > 0 for v in (self.epochs, self.batch_size)):
+            raise ConfigError(f"epochs and batch_size must be positive integers, "
+                              f"got {self.epochs!r} and {self.batch_size!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
 

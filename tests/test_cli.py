@@ -221,6 +221,12 @@ def _truncate(path):
     path.write_text(text[:len(text) // 2])
 
 
+def _name_unknown_boat_type(path):
+    manifest = json.loads(path.read_text())
+    manifest["files"][0]["boat_type"] = "submarine"
+    path.write_text(json.dumps(manifest))
+
+
 def _drop_last_meta_window(path):
     meta = json.loads(path.read_text())
     meta["windows"].pop()
@@ -271,6 +277,7 @@ def _without(key):
 
 @pytest.mark.parametrize("stage, name, corrupt", [
     ("raw", "manifest.json", _truncate),
+    ("raw", "manifest.json", _name_unknown_boat_type),
     ("data", "windows.meta.json", _truncate),
     ("data", "windows.meta.json", lambda path: path.write_text("{}")),
     ("data", "windows.meta.json", _drop_last_meta_window),
@@ -292,7 +299,8 @@ def _without(key):
     ("data", "windows.meta.json", _edit_first_meta_window(lambda entry: {**entry, "start": "0"})),
     ("data", "windows.meta.json", _edit_first_meta_window(lambda entry: {**entry, "athlete_id": "zz"})),
     ("data", "split.json", _edit_split(_drop_first_athlete)),
-], ids=["truncated_manifest", "truncated_meta", "empty_meta", "meta_window_missing", "truncated_split",
+], ids=["truncated_manifest", "manifest_unknown_boat_type", "truncated_meta", "empty_meta",
+        "meta_window_missing", "truncated_split",
         "split_zero_folds", "split_unknown_fold", "event_sign_zero", "event_t_nan",
         "event_t_fractional", "event_t_negative", "event_t_window_length", "event_window_fractional",
         "event_window_negative", "event_window_past_end", "targets_short", "window_nan",

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strokedet.config import PipelineConfig
 from strokedet.errors import ConfigError, DataError
+from strokedet.pipeline import materialize_dataset
 from strokedet.runs import (
     RawRun,
     interpolate_gaps,
     minmax_normalize,
     read_run_csv,
     read_split_json,
-    slide_windows,
     subject_aware_split,
     write_run_csv,
     write_split_json,
@@ -58,30 +59,49 @@ class TestInterpolateGaps:
         assert filled.valid.all()
         mask = np.asarray(valid)
         np.testing.assert_array_equal(filled.force[mask], np.asarray(force)[mask])
+        # the gaps hold what interpolating the whole run gives there
+        idx = np.flatnonzero(mask)
+        whole = np.interp(np.arange(n), idx, np.asarray(force)[idx])
+        assert filled.force[~mask].tobytes() == whole[~mask].tobytes()
+
+
+def windows_of(run, length=1000, stride=100):
+    """(starts, rows of X) that `materialize_dataset` cuts from `run`; runs of
+    two other athletes complete the split."""
+    rest = [make_run(np.arange(1000.0), run_id=f"o{i}", athlete_id=f"o{i}") for i in range(2)]
+    cfg = PipelineConfig(window_length=length, window_stride=stride, n_folds=2,
+                         holdout_fraction=0.0)
+    ds = materialize_dataset([(r, []) for r in (run, *rest)], cfg)
+    rows = [i for i, m in enumerate(ds.meta) if m["run_id"] == run.run_id]
+    return [ds.meta[i]["start"] for i in rows], ds.X[rows]
 
 
 class TestSlideWindows:
     def test_count_formula(self):
-        run = make_run(np.arange(1900.0))
-        windows = slide_windows(run, length=1000, stride=100)
-        assert len(windows) == 10
-        assert [w.start for w in windows] == list(range(0, 1000, 100))
+        starts, _ = windows_of(make_run(np.arange(1900.0)), length=1000, stride=100)
+        assert starts == list(range(0, 1000, 100))
 
     def test_exact_fit(self):
-        run = make_run(np.arange(1000.0))
-        windows = slide_windows(run)
-        assert len(windows) == 1 and windows[0].start == 0
+        starts, _ = windows_of(make_run(np.arange(1000.0)))
+        assert starts == [0]
 
     def test_too_short_warns(self):
-        run = make_run(np.arange(999.0))
-        with pytest.warns(UserWarning):
-            assert slide_windows(run) == []
+        with pytest.warns(UserWarning, match="999 samples < window length 1000"):
+            starts, _ = windows_of(make_run(np.arange(999.0)))
+        assert starts == []
 
     def test_window_content_matches_source(self):
         rng = np.random.default_rng(0)
         run = make_run(rng.normal(size=1450))
-        for w in slide_windows(run, length=300, stride=70):
-            np.testing.assert_array_equal(w.values, run.force[w.start:w.start + 300])
+        starts, rows = windows_of(run, length=300, stride=70)
+        assert starts == list(range(0, 1151, 70))
+        for start, row in zip(starts, rows):
+            assert row.tobytes() == minmax_normalize(run.force[start:start + 300]).tobytes()
+
+    @pytest.mark.parametrize("length, stride", [(0, 100), (1000, 0), (-5, 100)])
+    def test_non_positive_length_or_stride_rejected(self, length, stride):
+        with pytest.raises(ConfigError, match="window length and stride must be positive"):
+            windows_of(make_run(np.arange(1900.0)), length=length, stride=stride)
 
 
 class TestMinmaxNormalize:

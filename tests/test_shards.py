@@ -278,6 +278,14 @@ def test_no_process_of_a_run_outlives_it(tmp_path):
         os.killpg(proc.pid, 0)
 
 
+def test_a_worker_does_not_load_scipy_optimize():
+    """Only scoring needs it; each worker would carry its ~13 MB of private memory."""
+    code = "import sys, strokedet.shard_worker; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=TIMEOUT_S, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def _inject(tmp_path, monkeypatch, body: str) -> None:
     """Workers started from now on run `body` at start-up (via sitecustomize)."""
     site = tmp_path / "site"

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strokedet.errors import ConfigError
-from strokedet.labels import ENDING, ONSET
+from strokedet.labels import ENDING, ONSET, EventLabel
 from strokedet.synth import (
+    GROUND_TRUTH_LEVEL,
     AthleteStyle,
     SynthConfig,
+    _pulse_shape,
     draw_style,
     generate_dataset,
     generate_run,
@@ -59,6 +63,66 @@ class TestGenerateRun:
         run = generate_run(cfg, fixed_style(), np.random.default_rng(3), "r0")
         assert run.run.force.min() >= 0.0
         assert np.isfinite(run.run.force).all()
+
+
+def reference_generate_run(cfg, style, rng):
+    """The per-stroke loop `generate_run` replaced: one scalar amplitude draw
+    and one threshold scan per stroke. Returns (force, events)."""
+    n = int(round(cfg.run_duration * cfg.sample_rate))
+    period = cfg.sample_rate * 60.0 / style.stroke_rate
+    duration = max(4, int(round(style.duty * period)))
+    n_rise = max(1, int(round(style.rise_fraction * duration)))
+    shape = _pulse_shape(n_rise, max(1, duration - n_rise))
+    signal = np.zeros(n)
+    events = []
+    stroke = 0
+    while True:
+        start = int(round(stroke * period))
+        if start + shape.size > n:
+            break
+        amplitude = style.amplitude * max(0.1, 1.0 + cfg.amplitude_jitter * rng.standard_normal())
+        pulse = amplitude * shape
+        signal[start:start + shape.size] += pulse
+        above = np.flatnonzero(pulse > GROUND_TRUTH_LEVEL * amplitude)
+        events.append(EventLabel(t=start + int(above[0]), kind=ONSET))
+        events.append(EventLabel(t=start + int(above[-1]), kind=ENDING))
+        stroke += 1
+    if cfg.baseline_noise > 0:
+        signal = signal + cfg.baseline_noise * rng.standard_normal(n)
+    if any(nxt.t <= prev.t for prev, nxt in zip(events, events[1:])):
+        raise ConfigError("non-alternating events")
+    return signal, events
+
+
+class TestReference:
+    @settings(max_examples=150, deadline=None)
+    @given(rate=st.floats(20.0, 2000.0), rise=st.floats(0.01, 0.99), duty=st.floats(0.1, 1.5),
+           amplitude=st.floats(-2.0, 2.0).filter(lambda a: a != 0.0),
+           jitter=st.floats(0.0, 3.0), noise=st.sampled_from([0.0, 0.02]),
+           duration=st.floats(0.01, 4.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_stroke_reference(self, rate, rise, duty, amplitude, jitter, noise,
+                                              duration, seed):
+        # rates past ~600 strokes/min and duties near 1.5 overlap the pulses
+        cfg = SynthConfig(run_duration=duration, amplitude_jitter=jitter, baseline_noise=noise,
+                          stroke_rate_range=(rate, rate), pulse_asymmetry_range=(rise, rise))
+        style = fixed_style(rate=rate, rise=rise, duty=duty, amplitude=amplitude)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            force, events = reference_generate_run(cfg, style, theirs)
+        except ConfigError:
+            with pytest.raises(ConfigError, match="non-alternating"):
+                generate_run(cfg, style, ours, "r0")
+            return
+        run = generate_run(cfg, style, ours, "r0")
+        assert run.run.force.tobytes() == force.tobytes()
+        assert run.run.valid.all() and len(run.run) == force.size
+        assert repr(run.events) == repr(events)
+        assert ours.bit_generator.state == theirs.bit_generator.state  # dropouts draw next
+
+    def test_a_zero_amplitude_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="no sample above 0.05 of its amplitude"):
+            generate_run(SynthConfig(run_duration=5.0), fixed_style(amplitude=0.0),
+                         np.random.default_rng(0), "r0")
 
 
 class TestInjectDropouts:

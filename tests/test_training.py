@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from strokedet.architectures import ArchitectureSpec, LayerSpec, build_architecture, init_params
+from strokedet.errors import ConfigError
 from strokedet.gradcheck import LAYER_KINDS, gradient_check, random_toy_shape
 from strokedet.training import (
     TrainConfig,
@@ -97,6 +98,16 @@ class TestTrainModel:
         _, history = train_model(TINY_GRU, tiny_dataset(rng, 3), cfg,
                                  val_dataset=tiny_dataset(rng, 2))
         assert all(np.isfinite(row[2]) for row in history)
+
+
+@pytest.mark.parametrize("setting", [
+    {"learning_rate": float("nan")}, {"learning_rate": float("inf")}, {"learning_rate": -1e-3},
+    {"epochs": 1.5}, {"epochs": 2.0}, {"epochs": 0}, {"batch_size": 1.5}, {"batch_size": 2.0},
+    {"batch_size": -1},
+])
+def test_bad_train_config_is_a_config_error(setting):
+    with pytest.raises(ConfigError, match=next(iter(setting))):
+        TrainConfig(**setting)
 
 
 @pytest.mark.parametrize("shape", [(0, 40), (0, 40, 1)])
