@@ -14,6 +14,9 @@ layer-table label. Counts are computed without allocating weights:
     gru:      3*h*(in+h) + 6*h        (reset-after, separate biases)
     bgru:     twice the gru count; the next layer sees 2*h input channels
 
+The flatten-dense kind has a count and a table row but no init or layer:
+its one model, cnn_dense, holds ~513M parameters and can only be counted.
+
 `Model` is the one execution path from windows to outputs and gradients:
 it binds a params dict at construction, `as_windows` is its input contract,
 `Model.predict` runs batched inference and `Model.mse_step` the forward ->
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import shards
 from .errors import ConfigError, NumericError
-from .layers import GRU, BiGRU, Conv1D, DenseFlatten, DenseTimeDistributed
+from .layers import GRU, BiGRU, Conv1D, DenseTimeDistributed
 
 INPUT_LENGTH = 1000
 
@@ -42,8 +45,8 @@ DENSE_TD = "dense_timedistributed"
 GRU_KIND = "gru"
 BGRU_KIND = "bgru"
 
-# `init_params` refuses specs above this many parameters: they can only be
-# counted (the dense-head CNN holds ~513M doubles, 4.1 GB, and Adam training
+# Specs above this many parameters, or with a kind that has no layer, can only
+# be counted (the dense-head CNN holds ~513M doubles, 4.1 GB, and Adam training
 # needs at least 4x that).
 LARGE_PARAM_THRESHOLD = 50_000_000
 
@@ -173,8 +176,8 @@ class LayerKind:
 
     label: str  # layer-table name
     count: Callable  # closed-form parameter count, nothing allocated
-    init: Callable  # (rng, ...) -> seeded arrays by name, drawn in a fixed order
-    build: Callable  # -> the layer object from `layers`
+    init: Callable | None = None  # (rng, ...) -> seeded arrays by name, drawn in a fixed order
+    build: Callable | None = None  # -> the layer object from `layers`; None: counted only
     width: int = 1  # output channels per unit
     flattens: bool = False  # consumes the whole window: its table row follows a flatten row
     kernel: bool = False  # uses LayerSpec.kernel_size
@@ -191,8 +194,6 @@ KINDS = {
     DENSE_FLATTEN: LayerKind(
         "dense",
         count=lambda l, n: n * l.in_channels * l.out_units + l.out_units,
-        init=lambda rng, l, n: _dense_arrays(rng, n * l.in_channels, l.out_units),
-        build=lambda l, n: DenseFlatten(n, l.in_channels, l.out_units, l.activation),
         flattens=True,
     ),
     DENSE_TD: LayerKind(
@@ -261,19 +262,24 @@ def layer_prefix(index: int, layer: LayerSpec) -> str:
     return f"layer{index:02d}.{layer.kind}"
 
 
-def init_params(spec: ArchitectureSpec, seed: int) -> dict:
-    """Seeded weight arrays for every layer, keyed by '<layer prefix>.<array>'.
-
-    Glorot-uniform input/dense/conv weights, per-gate orthogonal recurrent
-    weights, zero biases. Architectures above LARGE_PARAM_THRESHOLD parameters
-    are refused: they can only be counted.
-    """
+def _refuse_count_only(spec: ArchitectureSpec) -> None:
+    """ConfigError for a spec that can only be counted: above
+    LARGE_PARAM_THRESHOLD parameters, or with a layer kind that has no layer."""
     total = count_params(spec)
-    if total > LARGE_PARAM_THRESHOLD:
+    if total > LARGE_PARAM_THRESHOLD or any(KINDS[l.kind].build is None for l in spec.layers):
         raise ConfigError(
             f"{spec.name} holds {total:,} parameters: {8 * total / 1e9:.1f} GB of float64 "
             f"weights and at least {32 * total / 1e9:.1f} GB to train; it can only be counted"
         )
+
+
+def init_params(spec: ArchitectureSpec, seed: int) -> dict:
+    """Seeded weight arrays for every layer, keyed by '<layer prefix>.<array>'.
+
+    Glorot-uniform input/dense/conv weights, per-gate orthogonal recurrent
+    weights, zero biases. A spec that can only be counted is refused.
+    """
+    _refuse_count_only(spec)
     rng = np.random.default_rng(seed)
     params = {}
     for i, layer in enumerate(spec.layers):
@@ -297,9 +303,11 @@ def as_windows(windows) -> np.ndarray:
 
 class Model:
     """Layer objects assembled from a spec, bound to the arrays of `params`
-    (shared, not copied: updating `params` in place updates the model)."""
+    (shared, not copied: updating `params` in place updates the model).
+    A spec that can only be counted is refused before any layer is built."""
 
     def __init__(self, spec: ArchitectureSpec, params: dict):
+        _refuse_count_only(spec)
         self.spec = spec
         self.caches = []
         self.layers = [layer_kind(layer.kind).build(layer, spec.input_length) for layer in spec.layers]

@@ -53,7 +53,7 @@ def cmd_synth(args) -> int:
         run = synth_run.run
         run_path = rn.write_run_csv(run, out_dir)
         events_path = out_dir / f"{run_path.stem}.events.jsonl"
-        lb.write_events_jsonl(events_path, synth_run.events, frame="run")
+        lb.write_events_jsonl(events_path, synth_run.events)
         entries.append({
             "run_id": run.run_id,
             "athlete_id": run.athlete_id,

@@ -15,7 +15,7 @@ from .architectures import KINDS, LayerSpec, layer_kind as _lookup_kind
 from .errors import ConfigError
 from .layers import Conv1D
 
-LAYER_KINDS = tuple(KINDS)
+LAYER_KINDS = tuple(kind for kind, entry in KINDS.items() if entry.build)
 
 _REL_FLOOR = 1e-3
 
@@ -55,7 +55,7 @@ def gradient_check(layer_kind: str, shape, seed: int, epsilon: float = 1e-4) -> 
     """Max relative error between analytic and central-FD gradients.
 
     `shape` is (time, in_channels, out_channels, kernel_size) for conv1d,
-    (time, in_channels, out_units) for the dense modes, and
+    (time, in_channels, out_units) for dense, and
     (time, in_channels, hidden) for gru/bgru. Covers every parameter entry and
     every input entry. For ReLU layers, draws are retried until all
     pre-activations sit well clear of the kink.

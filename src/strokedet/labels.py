@@ -70,13 +70,16 @@ def gaussian_kernel(window: int = DEFAULT_KERNEL_WINDOW, sigma: float = DEFAULT_
 
 
 def gaussian_smooth(values, kernel_window: int = DEFAULT_KERNEL_WINDOW, sigma: float = DEFAULT_SIGMA) -> np.ndarray:
-    """Convolve with the peak-normalized kernel; boundaries are zero-padded.
+    """Convolve with the peak-normalized kernel; boundaries are zero-padded,
+    and the output has the input's length and alignment, even when the input
+    is shorter than the kernel.
 
     Overlapping event tails add linearly (no clipping), so smoothing is exactly
     linear in its input.
     """
     x = np.asarray(values, dtype=np.float64)
-    return np.convolve(x, gaussian_kernel(kernel_window, sigma), mode="same")
+    half = kernel_window // 2
+    return np.convolve(x, gaussian_kernel(kernel_window, sigma), "full")[half:half + len(x)]
 
 
 def smooth_events(events, length: int, kernel_window: int = DEFAULT_KERNEL_WINDOW,
@@ -86,11 +89,10 @@ def smooth_events(events, length: int, kernel_window: int = DEFAULT_KERNEL_WINDO
 
 # --- event files (JSON Lines) -----------------------------------------------
 
-def write_events_jsonl(path, events, frame: str = "run") -> None:
-    """Header record {"frame": ...} followed by one {"t", "kind"} object per event."""
-    if frame not in ("window", "run"):
-        raise ConfigError(f"frame must be 'window' or 'run', got {frame!r}")
-    lines = [json.dumps({"frame": frame})]
+def write_events_jsonl(path, events) -> None:
+    """Header record {"frame": "run"} followed by one {"t", "kind"} object per
+    event, t counted from the start of the run."""
+    lines = [json.dumps({"frame": "run"})]
     lines.extend(json.dumps({"t": int(ev.t), "kind": ev.kind}) for ev in events)
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -107,7 +109,7 @@ def jsonl_records(path) -> list:
             continue
         try:
             obj = json.loads(ln)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting too
             raise DataError(f"{path}: line {n}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise DataError(f"{path}: line {n}: expected a JSON object, got {ln.strip()[:40]!r}")
@@ -125,14 +127,14 @@ def record_event(path, n: int, obj: dict, what: str) -> tuple:
     return t, kind
 
 
-def read_events_jsonl(path):
-    """Returns (frame, [EventLabel, ...])."""
+def read_events_jsonl(path) -> list:
+    """[EventLabel, ...] of a file that `write_events_jsonl` wrote."""
     records = jsonl_records(path)
     if not records:
         raise DataError(f"{path}: empty event file")
     frame = records[0][1].get("frame")
-    if frame not in ("window", "run"):
-        raise DataError(f"{path}: first record must declare frame 'window' or 'run'")
+    if frame != "run":
+        raise DataError(f"{path}: first record must declare frame 'run', got {frame!r}")
     events = []
     for n, obj in records[1:]:
         try:
@@ -141,4 +143,4 @@ def read_events_jsonl(path):
             raise DataError(f"{path}: line {n}: event record missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}: line {n}: malformed event record: {exc}") from exc
-    return frame, events
+    return events

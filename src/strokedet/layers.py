@@ -139,50 +139,6 @@ class Conv1D:
     backward = _backward
 
 
-class DenseFlatten:
-    """Flattens (time, channels) and applies one affine map across the whole window."""
-
-    def __init__(self, in_time: int, in_channels: int, out_units: int, activation: str = "linear"):
-        self.in_time = in_time
-        self.in_channels = in_channels
-        self.out_units = out_units
-        self.activation = activation
-        self._act, self._act_grad = _activation(activation)
-        self.params = {
-            "weight": np.zeros((in_time * in_channels, out_units)),
-            "bias": np.zeros(out_units),
-        }
-        self.grads = {}
-
-    def forward(self, x: np.ndarray) -> tuple:
-        if x.shape[1:] != (self.in_time, self.in_channels):
-            raise ConfigError(
-                f"dense(flatten) expects (batch, {self.in_time}, {self.in_channels}), got {x.shape}"
-            )
-        b = x.shape[0]
-        xf = x.reshape(b, -1)
-        a = xf @ self.params["weight"] + self.params["bias"]
-        return self._act(a).reshape(b, self.out_units, 1), [xf, a]
-
-    def reduce_shapes(self, t: int) -> dict:
-        return {"xf": (t * self.in_channels,), "da": (self.out_units,)}
-
-    def backward_rows(self, gy: np.ndarray, cache: list, out: dict | None = None) -> tuple:
-        xf, a = cache
-        cache.clear()
-        b = gy.shape[0]
-        da = self._act_grad(a, gy.reshape(b, self.out_units), None if out is None else out["da"])
-        dx = da @ self.params["weight"].T
-        red = _reduction_inputs(out, xf=xf)
-        return dx.reshape(b, self.in_time, self.in_channels), {**red, "da": da}
-
-    def reduce(self, red: dict) -> None:
-        xf, da = red["xf"], red["da"]
-        self.grads = {"weight": xf.T @ da, "bias": da.sum(axis=0)}
-
-    backward = _backward
-
-
 class DenseTimeDistributed:
     """Applies the same affine map independently at every time step."""
 

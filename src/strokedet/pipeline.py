@@ -96,7 +96,7 @@ def load_runs_dir(data_dir):
         try:
             manifest = json.loads(manifest_path.read_text())
             boat_types = {e["run_id"]: e["boat_type"] for e in manifest.get("files", [])}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise DataError(f"{manifest_path}: not a valid manifest: {exc}") from exc
     pairs = []
     run_paths = sorted(data_dir.glob("run*_ath*.csv"))
@@ -107,10 +107,7 @@ def load_runs_dir(data_dir):
         events_path = path.with_suffix("").with_name(path.stem + ".events.jsonl")
         if not events_path.exists():
             raise DataError(f"{events_path}: missing events file for {path.name}")
-        frame, events = lb.read_events_jsonl(events_path)
-        if frame != "run":
-            raise DataError(f"{events_path}: expected run-frame events, got {frame!r}")
-        pairs.append((run, events))
+        pairs.append((run, lb.read_events_jsonl(events_path)))
     return pairs
 
 
@@ -132,7 +129,7 @@ def materialize_dataset(run_event_pairs, cfg: PipelineConfig) -> WindowDataset:
     for run, events in run_event_pairs:
         filled = rn.interpolate_gaps(run)
         n = len(filled)
-        target_full = lb.smooth_events(events, n, cfg.label_kernel_window, cfg.label_sigma)
+        target = lb.smooth_events(events, n, cfg.label_kernel_window, cfg.label_sigma)
         if n < length:
             warnings.warn(f"run {run.run_id}: {n} samples < window length {length}, "
                           "no windows emitted")
@@ -140,8 +137,7 @@ def materialize_dataset(run_event_pairs, cfg: PipelineConfig) -> WindowDataset:
         starts = range(0, n - length + 1, stride)
         at = slice(len(meta), len(meta) + len(starts))
         X[at] = rn.minmax_normalize(sliding_window_view(filled.force, length)[::stride])
-        # [:n]: smoothing a run shorter than the kernel returns the kernel's length
-        Y[at] = sliding_window_view(target_full[:n], length)[::stride]
+        Y[at] = sliding_window_view(target, length)[::stride]
         order = sorted(range(len(events)), key=lambda i: events[i].t)
         times = [events[i].t for i in order]
         for start in starts:
@@ -206,7 +202,7 @@ def load_dataset(data_dir) -> WindowDataset:
         windows = list(meta["windows"])
         window_length = int(meta["window_length"])
         window_stride = int(meta["window_stride"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DataError(f"{meta_path}: not a valid dataset meta file: {exc}") from exc
     split = rn.read_split_json(data_dir / SPLIT_FILE)
     for i, entry in enumerate(windows):

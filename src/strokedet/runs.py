@@ -196,7 +196,7 @@ def read_split_json(path) -> SplitPlan:
             seed=int(payload["seed"]),
             n_folds=int(payload["n_folds"]),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise DataError(f"{path}: not a valid split plan: {exc}") from exc
     if not 2 <= plan.n_folds <= len(plan.assignments):
         raise DataError(f"{path}: n_folds {plan.n_folds} outside [2, {len(plan.assignments)} athletes]")

@@ -235,7 +235,7 @@ class _Sharded:
         params = {name: layout.add(value.shape) for name, value in model.named_params()}
         xref, pref = layout.add(x.shape), layout.add(x.shape[:2])
         if batch_size is None:  # a training call: lay out its backward pass too
-            rows, t = x.shape[:2]  # a flatten layer comes last: every layer sees t
+            rows, t = x.shape[:2]
             gref = layout.add((rows, t))
             reds = [{name: layout.add((rows,) + shape) for name, shape in obj.reduce_shapes(t).items()}
                     for obj in model.layers]

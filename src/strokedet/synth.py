@@ -3,9 +3,10 @@
 Each athlete gets a fixed style (stroke rate, rise fraction, duty cycle, base
 amplitude); each run sums one asymmetric raised-cosine pulse per stroke period
 and adds baseline noise. The ground-truth onset (ending) of a stroke is the
-first (last) sample where that pulse's own values exceed 5% of its amplitude:
-exactly known to the generator, but not recoverable from the mixed noisy
-signal by a simple analytic rule.
+first (last) sample where that pulse's own values exceed 5% of its amplitude,
+exactly known to the generator. So these labels are analytically defined,
+unlike the paper's expert labels: pulses do not overlap, and an untuned
+threshold rule on the smoothed signal recovers most of them (ROADMAP item 2).
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ identical inputs give bit-identical weights.
 Every forward and backward pass goes through `architectures.Model`, the one
 execution path: `Model.mse_step` is the training step of `train_model`, and
 `Model.predict` the batched inference behind `predict_batch`. Architectures
-that `init_params` refuses (above `LARGE_PARAM_THRESHOLD` parameters) cannot
-be trained.
+that can only be counted (above `LARGE_PARAM_THRESHOLD` parameters, such as
+cnn_dense) can be neither trained nor run.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ deterministic: identical arrays in identical order produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -77,10 +78,12 @@ def load_arrays(path) -> dict:
             dtype = _DTYPE_BY_CODE.get(code)
             if dtype is None:
                 raise DataError(f"{path}: unknown dtype code {code}")
-            n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-            data = np.frombuffer(blob, dtype=dtype, count=int(np.prod(dims, dtype=np.int64)),
-                                 offset=offset)
-            offset += n_bytes
+            count = math.prod(dims)  # exact: an int64 product of u64 dims can wrap
+            if count * dtype.itemsize > len(blob) - offset:
+                raise DataError(f"{path}: truncated container: array {name!r} of shape {dims} "
+                                f"needs {count * dtype.itemsize} bytes, {len(blob) - offset} left")
+            data = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+            offset += count * dtype.itemsize
             if name in arrays:
                 raise DataError(f"{path}: array {name!r} appears twice")
             arrays[name] = data.reshape(dims).copy()

@@ -6,6 +6,7 @@ import pytest
 from strokedet.architectures import (
     ArchitectureSpec,
     LayerSpec,
+    Model,
     architecture_table,
     build_architecture,
     canonical_name,
@@ -120,6 +121,15 @@ def test_architecture_table_includes_flatten_row():
     flat = rows[labels.index("flatten")]
     assert flat[1] == "(None, 512000)" and flat[2] == 0
     assert sum(r[2] for r in rows) == TOTALS["cnn_dense"]
+
+
+def test_flatten_dense_kind_is_counted_only():
+    spec = ArchitectureSpec("flat", (LayerSpec("dense_flatten", 2, 3, "linear"),), input_length=4)
+    assert count_params(spec) == 4 * 2 * 3 + 3
+    with pytest.raises(ConfigError, match="can only be counted"):
+        init_params(spec, 0)
+    with pytest.raises(ConfigError, match="can only be counted"):
+        Model(spec, {})
 
 
 def test_custom_spec_counting():

@@ -175,13 +175,19 @@ def test_evaluate_train_minus_val_partition(workspace, tmp_path):
     ])) == 2
 
 
-@pytest.mark.parametrize("command", ["train", "crossval"])
-def test_count_only_architecture_refused(workspace, tmp_path, command):
+@pytest.mark.parametrize("command", ["train", "crossval", "predict", "evaluate"])
+def test_count_only_architecture_refused(workspace, tmp_path, capsys, command):
     out = tmp_path / "out"
-    extra = ["--weights", str(out / "w.bin")] if command == "train" else ["--out", str(out)]
-    assert main([command] + tiny_args([
-        "--arch", "cnn_dense", "--data", str(workspace / "data"), *extra,
-    ])) == 2
+    if command == "train":
+        extra = ["--arch", "cnn_dense", "--weights", str(out / "w.bin")]
+    elif command == "crossval":
+        extra = ["--arch", "cnn_dense", "--out", str(out)]
+    else:  # a real GRUc1 weights file, run as cnn_dense
+        weights = tmp_path / "gruc1.bin"
+        save_arrays(weights, init_params(build_architecture("gruc1"), 0))
+        extra = ["--set", "arch=cnn_dense", "--weights", str(weights), "--out", str(out)]
+    assert main([command] + tiny_args(["--data", str(workspace / "data"), *extra])) == 2
+    assert "can only be counted" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -12,6 +12,7 @@ from strokedet.labels import (
     gaussian_kernel,
     gaussian_smooth,
     read_events_jsonl,
+    smooth_events,
     write_events_jsonl,
 )
 
@@ -79,14 +80,37 @@ class TestGaussianSmooth:
         right = gaussian_smooth(a) + gaussian_smooth(b)
         np.testing.assert_allclose(left, right, atol=1e-12)
 
+    def test_run_shorter_than_kernel_keeps_length_and_peak(self):
+        s = smooth_events([EventLabel(30, ONSET)], 60)
+        assert s.shape == (60,) and int(np.argmax(s)) == 30 and s[30] == 1.0
+
+    @given(st.integers(1, 300), st.integers(1, 150), st.floats(0.5, 30.0), st.integers(0, 2**32 - 1))
+    def test_matches_zero_padded_smoothing(self, n, window, sigma, seed):
+        x = np.random.default_rng(seed).uniform(-1, 1, n)
+        kernel = gaussian_kernel(window, sigma)
+        s = gaussian_smooth(x, window, sigma)
+        assert s.shape == (n,)
+        if n >= kernel.size:  # where "same" mode already had the input's length
+            np.testing.assert_array_equal(s, np.convolve(x, kernel, mode="same"))
+        pad = kernel.size
+        padded = np.convolve(np.pad(x, pad), kernel, mode="same")[pad:pad + n]
+        np.testing.assert_allclose(s, padded, atol=1e-12)
+
 
 class TestEventFiles:
     def test_jsonl_roundtrip(self, tmp_path):
         events = [EventLabel(3, ONSET), EventLabel(90, ENDING)]
         path = tmp_path / "ev.jsonl"
-        write_events_jsonl(path, events, frame="window")
-        frame, back = read_events_jsonl(path)
-        assert frame == "window" and back == events
+        write_events_jsonl(path, events)
+        assert path.read_text().splitlines()[0] == '{"frame": "run"}'
+        assert read_events_jsonl(path) == events
+
+    @pytest.mark.parametrize("header", ['{"frame": "window"}', '{"frame": null}', "{}"])
+    def test_frame_other_than_run_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(header + '\n{"t": 3, "kind": "onset"}\n')
+        with pytest.raises(DataError, match="frame 'run'"):
+            read_events_jsonl(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

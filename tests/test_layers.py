@@ -13,7 +13,7 @@ from strokedet.architectures import (
     init_params,
 )
 from strokedet.errors import ConfigError, NumericError
-from strokedet.layers import GRU, BiGRU, Conv1D, DenseFlatten, DenseTimeDistributed
+from strokedet.layers import GRU, BiGRU, Conv1D, DenseTimeDistributed
 
 
 def gru_params(rng, cin, h):
@@ -142,16 +142,6 @@ class TestDenseForward:
         layer.params["bias"] = np.full(3, 1.5)
         assert (run(layer, x) == 1.5).all()
 
-    def test_flatten_consumes_whole_window(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(4, 2))
-        w = rng.normal(size=(8, 3))
-        b = rng.normal(size=3)
-        layer = DenseFlatten(4, 2, 3)
-        layer.params.update(weight=w, bias=b)
-        out = run(layer, x)
-        np.testing.assert_allclose(out[:, 0], x.reshape(-1) @ w + b, atol=1e-12)
-
     def test_timedistributed_param_shape(self):
         # 128-channel input, one output unit -> 129 parameters
         layer = DenseTimeDistributed(128, 1)
@@ -276,7 +266,6 @@ class TestBidirectionalForward:
 _LAYERS = {
     "conv1d": lambda t: Conv1D(2, 3, 3),
     "conv1d_k1": lambda t: Conv1D(2, 1, 1, "linear"),
-    "dense_flatten": lambda t: DenseFlatten(t, 2, 4),
     "dense_td": lambda t: DenseTimeDistributed(2, 3),
     "gru": lambda t: GRU(2, 4),
     "bgru": lambda t: BiGRU(2, 4),
@@ -324,6 +313,11 @@ class TestModelForward:
             ref = run(conv, ref)
         out = Model(spec, params).predict(x[None], batch_size=1)[0]
         np.testing.assert_allclose(out, ref[:, 0], atol=1e-10)
+
+    def test_count_only_spec_refused_before_building(self):
+        # cnn_dense's flatten-dense kind has no layer, and its 513M weights are never allocated
+        with pytest.raises(ConfigError, match="can only be counted"):
+            Model(build_architecture("cnn_dense"), {})
 
     def test_params_mismatch_rejected(self):
         spec = build_architecture("gruc1")

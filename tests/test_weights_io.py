@@ -1,4 +1,6 @@
 import json
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -92,3 +94,17 @@ def test_json_export_mirrors_content():
     assert by_name["w"]["dtype"] == "f64" and by_name["w"]["shape"] == [2, 2]
     assert by_name["w"]["data"] == [1.0, 2.0, 3.0, 4.0]
     assert by_name["b"]["dtype"] == "f32"
+
+
+@pytest.mark.parametrize("dims", [(2**62, 4), (2**63, 1), (2**64 - 1, 2)])
+def test_dims_beyond_int64_rejected_without_wrapping(tmp_path, dims):
+    # an int64 product of these dims wraps or overflows
+    path = tmp_path / "w.bin"
+    save_arrays(path, {"a": np.zeros((2, 3))})
+    blob = bytearray(path.read_bytes())
+    blob[22:38] = struct.pack("<2Q", *dims)  # after magic, version, count, name and dtype/rank
+    path.write_bytes(bytes(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="truncated container"):
+            load_arrays(path)
