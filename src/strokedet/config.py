@@ -1,10 +1,14 @@
 """Plain-text `key = value` pipeline configuration.
 
 One flat namespace covers every stage (windowing, label encoding, model,
-training, event extraction, scoring, synthesis). Unknown keys are rejected.
-`#` starts a comment; CLI `--set key=value` overrides file values.
+training, event extraction, scoring, synthesis). `PipelineConfig` inherits
+the keys, defaults and checks of the four stage configs (`TrainConfig`,
+`ExtractorConfig`, `WindowEvalConfig`, `SynthConfig`) and adds the window,
+label, model and split keys. Unknown keys are rejected, and the stage keys
+are checked when the config is loaded. `#` starts a comment; CLI
+`--set key=value` overrides file values.
 
-Defaults (also the documented reference):
+Defaults (the one documented reference; a test keeps it equal to the code):
 
     window_length         1000    samples per window
     window_stride         100     window advance in samples
@@ -15,7 +19,7 @@ Defaults (also the documented reference):
     epochs                30
     batch_size            32
     optimizer             adam    adam | sgd
-    seed                  0       drives synthesis, split, init, shuffling
+    seed                  0       drives synthesis, split, init, shuffling (>= 0)
     n_folds               5       cross-validation folds
     holdout_fraction      0.15    athlete fraction held out (ceil)
     val_fold              0       fold used for validation loss during train
@@ -45,78 +49,46 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .labels import DEFAULT_KERNEL_WINDOW, DEFAULT_SIGMA
 from .postprocess import ExtractorConfig
 from .softed import WindowEvalConfig
 from .synth import SynthConfig
 from .training import TrainConfig
 
+_STAGES = (TrainConfig, ExtractorConfig, WindowEvalConfig, SynthConfig)
+
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(*_STAGES):
+    """Every stage config's keys, plus the windowing, label, model and split keys."""
+
     window_length: int = 1000
     window_stride: int = 100
-    label_kernel_window: int = 100
-    label_sigma: float = 10.0
+    label_kernel_window: int = DEFAULT_KERNEL_WINDOW
+    label_sigma: float = DEFAULT_SIGMA
     arch: str = "gruc1"
-    learning_rate: float = 1e-3
-    epochs: int = 30
-    batch_size: int = 32
-    optimizer: str = "adam"
-    seed: int = 0
     n_folds: int = 5
     holdout_fraction: float = 0.15
     val_fold: int = 0
-    sg_window: int = 31
-    sg_order: int = 2
-    upper_percentile: float = 85.0
-    lower_percentile: float = 15.0
-    cluster_radius: int = 5
-    tolerance_k: int = 15
-    margin_h: int = 15
-    n_athletes: int = 7
-    runs_per_athlete: int = 2
-    run_duration: float = 30.0
-    stroke_rate_min: float = 40.0
-    stroke_rate_max: float = 120.0
-    pulse_asymmetry_min: float = 0.2
-    pulse_asymmetry_max: float = 0.5
-    amplitude_jitter: float = 0.1
-    baseline_noise: float = 0.02
-    dropout_prob: float = 0.002
+
+    def __post_init__(self):
+        for stage in _STAGES:
+            stage.__post_init__(self)
+
+    def _stage(self, stage):
+        return stage(**{f.name: getattr(self, f.name) for f in fields(stage)})
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            optimizer=self.optimizer,
-        )
+        return self._stage(TrainConfig)
 
     def extractor_config(self) -> ExtractorConfig:
-        return ExtractorConfig(
-            sg_window=self.sg_window,
-            sg_order=self.sg_order,
-            upper_pct=self.upper_percentile,
-            lower_pct=self.lower_percentile,
-            cluster_radius=self.cluster_radius,
-        )
+        return self._stage(ExtractorConfig)
 
     def eval_config(self) -> WindowEvalConfig:
-        return WindowEvalConfig(k=self.tolerance_k, h=self.margin_h)
+        return self._stage(WindowEvalConfig)
 
     def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            n_athletes=self.n_athletes,
-            runs_per_athlete=self.runs_per_athlete,
-            run_duration=self.run_duration,
-            stroke_rate_range=(self.stroke_rate_min, self.stroke_rate_max),
-            pulse_asymmetry_range=(self.pulse_asymmetry_min, self.pulse_asymmetry_max),
-            amplitude_jitter=self.amplitude_jitter,
-            baseline_noise=self.baseline_noise,
-            dropout_prob=self.dropout_prob,
-            seed=self.seed,
-        )
+        return self._stage(SynthConfig)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(PipelineConfig)}
@@ -125,7 +97,11 @@ class PipelineConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 
-def _convert(key: str, raw: str):
+def _setting(key: str, raw: str) -> tuple:
+    """(key, value) of one `key = value` setting, parsed by the key's type."""
+    key, raw = key.strip(), raw.strip()
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
     kind = _FIELD_TYPES[key]
     try:
         value = {"int": int, "float": float}.get(kind, str)(raw)
@@ -133,19 +109,13 @@ def _convert(key: str, raw: str):
         raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind}") from exc
     if kind == "float" and not math.isfinite(value):
         raise ConfigError(f"config key {key}: {raw!r} is not a finite number")
-    return value
-
-
-def apply_setting(cfg: PipelineConfig, key: str, raw: str) -> None:
-    key = key.strip()
-    if key not in _FIELD_TYPES:
-        raise ConfigError(f"unknown config key {key!r}")
-    setattr(cfg, key, _convert(key, raw.strip()))
+    return key, value
 
 
 def load_config(path=None, overrides=()) -> PipelineConfig:
-    """Defaults, then file values, then `key=value` override strings."""
-    cfg = PipelineConfig()
+    """Defaults, then file values, then `key=value` override strings. The
+    config is built once from the collected settings, running every stage's checks."""
+    items = []
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8-sig")
@@ -157,11 +127,9 @@ def load_config(path=None, overrides=()) -> PipelineConfig:
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, raw = stripped.split("=", 1)
-            apply_setting(cfg, key, raw)
+            items.append(stripped)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        apply_setting(cfg, key, raw)
-    return cfg
+        items.append(item)
+    return PipelineConfig(**dict(_setting(*item.split("=", 1)) for item in items))

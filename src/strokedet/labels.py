@@ -101,8 +101,8 @@ def jsonl_records(path) -> list:
     """(line number, object) for each non-blank line; malformed input is a DataError."""
     try:
         text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not readable UTF-8 text: {exc}") from exc
     records = []
     for n, ln in enumerate(text.splitlines(), 1):
         if not ln.strip():

@@ -96,7 +96,7 @@ def load_runs_dir(data_dir):
         try:
             manifest = json.loads(manifest_path.read_text())
             boat_types = {e["run_id"]: e["boat_type"] for e in manifest.get("files", [])}
-        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        except (OSError, AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise DataError(f"{manifest_path}: not a valid manifest: {exc}") from exc
     pairs = []
     run_paths = sorted(data_dir.glob("run*_ath*.csv"))
@@ -202,7 +202,7 @@ def load_dataset(data_dir) -> WindowDataset:
         windows = list(meta["windows"])
         window_length = int(meta["window_length"])
         window_stride = int(meta["window_stride"])
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DataError(f"{meta_path}: not a valid dataset meta file: {exc}") from exc
     split = rn.read_split_json(data_dir / SPLIT_FILE)
     for i, entry in enumerate(windows):

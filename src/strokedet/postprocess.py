@@ -44,8 +44,8 @@ _BY_T = attrgetter("t")
 class ExtractorConfig:
     sg_window: int = 31
     sg_order: int = 2
-    upper_pct: float = 85.0
-    lower_pct: float = 15.0
+    upper_percentile: float = 85.0
+    lower_percentile: float = 15.0
     cluster_radius: int = 5
 
     def __post_init__(self):
@@ -55,7 +55,7 @@ class ExtractorConfig:
             )
         if self.sg_order < 0:
             raise ConfigError(f"sg_order must be >= 0, got {self.sg_order}")
-        for pct in (self.upper_pct, self.lower_pct):
+        for pct in (self.upper_percentile, self.lower_percentile):
             if not 0.0 < pct < 100.0:
                 raise ConfigError(f"percentiles must lie in (0, 100), got {pct}")
         if self.cluster_radius < 0:
@@ -148,8 +148,8 @@ def extract_candidates(filtered, cfg: ExtractorConfig) -> list:
     if x.size and not (math.isfinite(xs[0]) and math.isfinite(xs[-1])):
         raise NumericError("non-finite values in filtered output")
     neg, pos = xs.searchsorted(0.0, "left"), xs.searchsorted(0.0, "right")
-    upper = _sorted_percentile(xs[pos:], cfg.upper_pct) if pos < x.size else math.inf
-    lower = _sorted_percentile(xs[:neg], cfg.lower_pct) if neg else -math.inf
+    upper = _sorted_percentile(xs[pos:], cfg.upper_percentile) if pos < x.size else math.inf
+    lower = _sorted_percentile(xs[:neg], cfg.lower_percentile) if neg else -math.inf
     # runs of equal values: edge holds the last sample of each run but the final one
     edge = np.flatnonzero(x[1:] != x[:-1])
     start, end = edge[:-1] + 1, edge[1:]

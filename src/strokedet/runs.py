@@ -1,6 +1,7 @@
 """Force-run ingestion: gap interpolation, normalization, splits.
 
-A run is a single-channel force recording at 200 Hz with a per-sample validity
+A run is a single-channel force recording at the fixed 200 Hz (`SAMPLE_RATE_HZ`;
+no other rate exists, so a run does not carry one) with a per-sample validity
 flag (invalid samples mark transmission gaps that arrive pre-flagged in the
 input files). Dataset splits are subject-aware: all runs of an athlete land in
 exactly one partition.
@@ -36,13 +37,10 @@ class RawRun:
     boat_type: str
     force: np.ndarray
     valid: np.ndarray
-    sample_rate: int = SAMPLE_RATE_HZ
 
     def __post_init__(self):
         self.force = np.asarray(self.force, dtype=np.float64)
         self.valid = np.asarray(self.valid, dtype=bool)
-        if self.sample_rate != SAMPLE_RATE_HZ:
-            raise DataError(f"run {self.run_id}: sample rate must be {SAMPLE_RATE_HZ} Hz, got {self.sample_rate}")
         if self.boat_type not in BOAT_TYPES:
             raise DataError(f"run {self.run_id}: unknown boat type {self.boat_type!r}")
         if self.force.ndim != 1 or self.force.shape != self.valid.shape:
@@ -149,7 +147,7 @@ def read_run_csv(path, boat_type: str = "canoe") -> RawRun:
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path.name}: not a readable CSV file: {exc}") from exc
     header = rows[0] if rows else None
     if header != ["index", "force", "valid"]:
@@ -196,7 +194,7 @@ def read_split_json(path) -> SplitPlan:
             seed=int(payload["seed"]),
             n_folds=int(payload["n_folds"]),
         )
-    except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise DataError(f"{path}: not a valid split plan: {exc}") from exc
     if not 2 <= plan.n_folds <= len(plan.assignments):
         raise DataError(f"{path}: n_folds {plan.n_folds} outside [2, {len(plan.assignments)} athletes]")

@@ -133,14 +133,14 @@ class Metrics:
 
 @dataclass
 class WindowEvalConfig:
-    k: int = 15
-    h: int = 15
+    tolerance_k: int = 15
+    margin_h: int = 15
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ConfigError(f"tolerance k must be positive, got {self.k}")
-        if self.h < 0:
-            raise ConfigError(f"margin h must be >= 0, got {self.h}")
+        if self.tolerance_k <= 0:
+            raise ConfigError(f"tolerance k must be positive, got {self.tolerance_k}")
+        if self.margin_h < 0:
+            raise ConfigError(f"margin h must be >= 0, got {self.margin_h}")
 
 
 @dataclass
@@ -273,17 +273,18 @@ def evaluate_windowed(window_sets, n_time: int, cfg: WindowEvalConfig | None = N
     bucket for exact hits.
     """
     cfg = cfg or WindowEvalConfig()
-    valid = valid_range(n_time, cfg.h)
+    k, h = cfg.tolerance_k, cfg.margin_h
+    valid = valid_range(n_time, h)
     total = SoftConfusion()
-    counts = [0] * (cfg.k + 1)
+    counts = [0] * (k + 1)
     n_windows = 0
     for events, detections in window_sets:
-        full = associate(events, detections, cfg.k)
+        full = associate(events, detections, k)
         kept_events, kept_detections = restrict(full, valid)
-        scored = associate(kept_events, kept_detections, cfg.k)
-        total += confusion_from_assignment(scored, n_time - 2 * cfg.h)
+        scored = associate(kept_events, kept_detections, k)
+        total += confusion_from_assignment(scored, n_time - 2 * h)
         for _, _, mu in scored.pairs:
-            counts[_bucket_index(mu, cfg.k)] += 1
+            counts[_bucket_index(mu, k)] += 1
         # pairs are one-to-one, so every other restricted entity is unmatched
         counts[0] += len(scored.events) + len(scored.detections) - 2 * len(scored.pairs)
         n_windows += 1
@@ -292,8 +293,8 @@ def evaluate_windowed(window_sets, n_time: int, cfg: WindowEvalConfig | None = N
         metrics=soft_metrics(total),
         histogram=np.array(counts, dtype=np.int64),
         n_windows=n_windows,
-        k=cfg.k,
-        h=cfg.h,
+        k=k,
+        h=h,
     )
 
 

@@ -1,12 +1,13 @@
 """Synthetic paddle-force runs with construction-known onset/ending events.
 
 Each athlete gets a fixed style (stroke rate, rise fraction, duty cycle, base
-amplitude); each run sums one asymmetric raised-cosine pulse per stroke period
-and adds baseline noise. The ground-truth onset (ending) of a stroke is the
-first (last) sample where that pulse's own values exceed 5% of its amplitude,
-exactly known to the generator. So these labels are analytically defined,
-unlike the paper's expert labels: pulses do not overlap, and an untuned
-threshold rule on the smoothed signal recovers most of them (ROADMAP item 2).
+amplitude); each run is sampled at the fixed 200 Hz (`runs.SAMPLE_RATE_HZ`),
+sums one asymmetric raised-cosine pulse per stroke period and adds baseline
+noise. The ground-truth onset (ending) of a stroke is the first (last) sample
+where that pulse's own values exceed 5% of its amplitude, exactly known to the
+generator. So these labels are analytically defined, unlike the paper's expert
+labels: pulses do not overlap, and an untuned threshold rule on the smoothed
+signal recovers most of them (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -30,27 +31,28 @@ class SynthConfig:
     n_athletes: int = 7
     runs_per_athlete: int = 2
     run_duration: float = 30.0  # seconds
-    stroke_rate_range: tuple = (40.0, 120.0)  # strokes/min
-    pulse_asymmetry_range: tuple = (0.2, 0.5)  # rise fraction of pulse duration
+    stroke_rate_min: float = 40.0  # strokes/min
+    stroke_rate_max: float = 120.0
+    pulse_asymmetry_min: float = 0.2  # rise fraction of pulse duration
+    pulse_asymmetry_max: float = 0.5
     amplitude_jitter: float = 0.1  # relative sigma per stroke
     baseline_noise: float = 0.02  # absolute sigma
     dropout_prob: float = 0.002  # per-sample invalidation probability
     seed: int = 0
-    sample_rate: int = SAMPLE_RATE_HZ
 
     def __post_init__(self):
-        lo, hi = self.stroke_rate_range
-        if not 0 < lo <= hi:
-            raise ConfigError(f"invalid stroke rate range {self.stroke_rate_range}")
-        lo, hi = self.pulse_asymmetry_range
-        if not 0 < lo <= hi < 1:
-            raise ConfigError(f"invalid asymmetry range {self.pulse_asymmetry_range}")
+        if not 0 < self.stroke_rate_min <= self.stroke_rate_max:
+            raise ConfigError(f"invalid stroke rate range {self.stroke_rate_min}..{self.stroke_rate_max}")
+        if not 0 < self.pulse_asymmetry_min <= self.pulse_asymmetry_max < 1:
+            raise ConfigError(f"invalid asymmetry range {self.pulse_asymmetry_min}..{self.pulse_asymmetry_max}")
         if not 0.0 <= self.dropout_prob <= 1.0:
             raise ConfigError(f"dropout_prob must be in [0, 1], got {self.dropout_prob}")
         if self.amplitude_jitter < 0 or self.baseline_noise < 0:
             raise ConfigError("jitter and noise sigmas must be >= 0")
         if self.n_athletes < 1 or self.runs_per_athlete < 1 or self.run_duration <= 0:
             raise ConfigError("athlete/run counts and duration must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,8 @@ class SynthRun:
 def draw_style(athlete_id: str, cfg: SynthConfig, rng: np.random.Generator) -> AthleteStyle:
     return AthleteStyle(
         athlete_id=athlete_id,
-        stroke_rate=float(rng.uniform(*cfg.stroke_rate_range)),
-        rise_fraction=float(rng.uniform(*cfg.pulse_asymmetry_range)),
+        stroke_rate=float(rng.uniform(cfg.stroke_rate_min, cfg.stroke_rate_max)),
+        rise_fraction=float(rng.uniform(cfg.pulse_asymmetry_min, cfg.pulse_asymmetry_max)),
         duty=float(rng.uniform(*DUTY_RANGE)),
         amplitude=float(rng.uniform(*AMPLITUDE_RANGE)),
         boat_type=str(rng.choice(BOAT_TYPES)),
@@ -90,8 +92,8 @@ def _pulse_shape(n_rise: int, n_fall: int) -> np.ndarray:
 
 def generate_run(cfg: SynthConfig, style: AthleteStyle, rng: np.random.Generator,
                  run_id: str) -> SynthRun:
-    n = int(round(cfg.run_duration * cfg.sample_rate))
-    period = cfg.sample_rate * 60.0 / style.stroke_rate
+    n = int(round(cfg.run_duration * SAMPLE_RATE_HZ))
+    period = SAMPLE_RATE_HZ * 60.0 / style.stroke_rate
     duration = max(4, int(round(style.duty * period)))
     n_rise = max(1, int(round(style.rise_fraction * duration)))
     n_fall = max(1, duration - n_rise)
@@ -131,7 +133,6 @@ def generate_run(cfg: SynthConfig, style: AthleteStyle, rng: np.random.Generator
         boat_type=style.boat_type,
         force=signal,
         valid=np.ones(n, dtype=bool),
-        sample_rate=cfg.sample_rate,
     )
     return SynthRun(run=run, events=events, style=style)
 
@@ -151,7 +152,6 @@ def inject_dropouts(run: RawRun, dropout_prob: float, rng: np.random.Generator) 
         boat_type=run.boat_type,
         force=run.force,
         valid=run.valid & ~drop,
-        sample_rate=run.sample_rate,
     )
 
 

@@ -44,6 +44,8 @@ class TrainConfig:
                               f"got {self.epochs!r} and {self.batch_size!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class TrainingDiverged(NumericError):

@@ -169,8 +169,8 @@ def test_criterion_6_windowed_extension():
     # scoring drops the margin event, so the penalty vanishes.
     window_a = ([52], [52])
     window_b = ([2], [])
-    unrestricted = se.evaluate_windowed([window_a, window_b], 100, se.WindowEvalConfig(k=15, h=0))
-    restricted = se.evaluate_windowed([window_a, window_b], 100, se.WindowEvalConfig(k=15, h=15))
+    unrestricted = se.evaluate_windowed([window_a, window_b], 100, se.WindowEvalConfig(tolerance_k=15, margin_h=0))
+    restricted = se.evaluate_windowed([window_a, window_b], 100, se.WindowEvalConfig(tolerance_k=15, margin_h=15))
     hand_unrestricted = (1.0, 0.0, 1.0)  # tp, fp, fn
     hand_restricted = (1.0, 0.0, 0.0)
     got_unrestricted = (unrestricted.confusion.tp_s, unrestricted.confusion.fp_s,

@@ -324,6 +324,54 @@ def test_malformed_dataset_file_exit_code(workspace, tmp_path, stage, name, corr
     assert main(args) == 3
 
 
+
+def _first(pattern):
+    return lambda directory: sorted(directory.glob(pattern))[0]
+
+
+@pytest.mark.parametrize("stage, find", [
+    ("raw", _first("*.events.jsonl")),
+    ("raw", lambda directory: directory / "manifest.json"),
+    ("raw", _first("run*_ath*.csv")),
+    ("data", lambda directory: directory / "split.json"),
+    ("data", lambda directory: directory / "windows.meta.json"),
+], ids=["events", "manifest", "run_csv", "split", "meta"])
+def test_unreadable_input_file_exit_code(workspace, tmp_path, capsys, stage, find):
+    copy = tmp_path / stage
+    shutil.copytree(workspace / stage, copy)
+    path = find(copy)
+    path.unlink()
+    path.mkdir()  # a directory where the file should be
+    if stage == "raw":
+        args = ["preprocess"] + tiny_args(["--data", str(copy), "--out", str(tmp_path / "d")])
+    else:
+        args = ["evaluate"] + tiny_args(["--data", str(copy), "--predict-from-labels",
+                                         "--out", str(tmp_path / "o")])
+    assert main(args) == 3
+    assert path.name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "preprocess", "train"])
+def test_negative_seed_exit_code(workspace, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    extra = {
+        "synth": ["--out", str(out)],
+        "preprocess": ["--data", str(workspace / "raw"), "--out", str(out)],
+        "train": ["--data", str(workspace / "data"), "--weights", str(out)],
+    }[command]
+    assert main([command] + tiny_args(extra + ["--set", "seed=-1"])) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["sg_window=4", "tolerance_k=0", "epochs=0", "stroke_rate_min=0"])
+def test_invalid_value_refused_when_config_loads(capsys, setting):
+    # arch reads no stage config, so only the load-time check can refuse these
+    assert main(["arch", "gruc1", "--set", setting]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("batch_size", [0, -1])
 def test_non_positive_batch_size_exit_code(workspace, tmp_path, batch_size):
     weights = tmp_path / "w.bin"

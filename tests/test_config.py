@@ -1,7 +1,14 @@
+import re
+
 import pytest
 
+from strokedet import config
 from strokedet.config import PipelineConfig, load_config
 from strokedet.errors import ConfigError
+from strokedet.postprocess import ExtractorConfig
+from strokedet.softed import WindowEvalConfig
+from strokedet.synth import SynthConfig
+from strokedet.training import TrainConfig
 
 
 def test_defaults():
@@ -68,9 +75,9 @@ def test_subconfig_construction():
     cfg = PipelineConfig()
     assert cfg.train_config().batch_size == cfg.batch_size
     assert cfg.extractor_config().sg_window == cfg.sg_window
-    assert cfg.eval_config().k == 15
+    assert cfg.eval_config().tolerance_k == 15
     synth = cfg.synth_config()
-    assert synth.stroke_rate_range == (cfg.stroke_rate_min, cfg.stroke_rate_max)
+    assert (synth.stroke_rate_min, synth.stroke_rate_max) == (cfg.stroke_rate_min, cfg.stroke_rate_max)
     assert synth.seed == cfg.seed
 
 
@@ -79,3 +86,17 @@ def test_as_dict_round_trips_keys():
     d = cfg.as_dict()
     assert d["arch"] == "gruc1"
     assert set(d) > {"window_length", "dropout_prob", "margin_h"}
+
+
+def test_defaults_are_written_once():
+    # the docstring table lists every key once, with the value the code uses
+    rows = re.findall(r"^    (\w+) +(\S+)", config.__doc__, re.MULTILINE)
+    keys = [key for key, _ in rows]
+    assert sorted(keys) == sorted(PipelineConfig().as_dict()) and len(set(keys)) == len(keys)
+    cfg = PipelineConfig()
+    for key, raw in rows:
+        assert config._setting(key, raw) == (key, getattr(cfg, key))
+    assert cfg.train_config() == TrainConfig()
+    assert cfg.extractor_config() == ExtractorConfig()
+    assert cfg.eval_config() == WindowEvalConfig()
+    assert cfg.synth_config() == SynthConfig()

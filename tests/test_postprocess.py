@@ -146,8 +146,8 @@ class TestExtractCandidates:
         # independent exhaustive scan over interior samples
         pos = signal[signal > 0]
         neg = signal[signal < 0]
-        upper = np.percentile(pos, cfg.upper_pct)
-        lower = np.percentile(neg, cfg.lower_pct)
+        upper = np.percentile(pos, cfg.upper_percentile)
+        lower = np.percentile(neg, cfg.lower_percentile)
         expected = []
         for t in range(1, len(signal) - 1):
             if signal[t] > signal[t - 1] and signal[t] > signal[t + 1] and signal[t] > upper:
@@ -176,8 +176,8 @@ class TestExtractCandidates:
         signal = rng.normal(scale=0.5, size=400)
         cfg = ExtractorConfig()
         dets = extract_candidates(signal, cfg)
-        upper = np.percentile(signal[signal > 0], cfg.upper_pct)
-        lower = np.percentile(signal[signal < 0], cfg.lower_pct)
+        upper = np.percentile(signal[signal > 0], cfg.upper_percentile)
+        lower = np.percentile(signal[signal < 0], cfg.lower_percentile)
         for d in dets:
             if d.kind == ONSET:
                 assert d.score > upper
@@ -213,11 +213,11 @@ def _loop_candidates(x, cfg):
     expected = []
     positives = x[x > 0.0]
     if positives.size:
-        upper = percentile(positives, cfg.upper_pct)
+        upper = percentile(positives, cfg.upper_percentile)
         expected += [(t, ONSET, float(x[t])) for t in _local_extrema(x, True) if x[t] > upper]
     negatives = x[x < 0.0]
     if negatives.size:
-        lower = percentile(negatives, cfg.lower_pct)
+        lower = percentile(negatives, cfg.lower_percentile)
         expected += [(t, ENDING, float(x[t])) for t in _local_extrema(x, False) if x[t] < lower]
     return sorted(expected)
 
@@ -234,7 +234,7 @@ percentiles = st.floats(1.0, 99.0)
 
 class TestExtractCandidatesMatchesLoop:
     def check(self, x, upper, lower):
-        cfg = ExtractorConfig(upper_pct=upper, lower_pct=lower)
+        cfg = ExtractorConfig(upper_percentile=upper, lower_percentile=lower)
         dets = extract_candidates(x, cfg)
         assert all(type(d.t) is int and type(d.score) is float for d in dets)
         assert [(d.t, d.kind, d.score) for d in dets] == _loop_candidates(x, cfg)
@@ -256,7 +256,7 @@ class TestExtractCandidatesMatchesLoop:
     def test_edge_plateaus_and_lower_midpoint(self):
         x = np.array([2.0, 2.0, 0.5, 1.0, 1.0, 0.0, -1.0, -1.0, -1.0, -1.0, -0.5, -2.0, -2.0])
         self.check(x, 1.0, 99.0)
-        dets = extract_candidates(x, ExtractorConfig(upper_pct=1.0, lower_pct=99.0))
+        dets = extract_candidates(x, ExtractorConfig(upper_percentile=1.0, lower_percentile=99.0))
         assert [(d.t, d.kind) for d in dets] == [(3, ONSET), (7, ENDING)]
 
 

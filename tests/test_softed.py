@@ -318,7 +318,7 @@ class TestEvaluateWindowed:
     def test_interior_window_equals_plain_softed(self):
         events = [200, 500]
         detections = [201, 503]
-        result = evaluate_windowed([(events, detections)], 1000, WindowEvalConfig(k=15, h=15))
+        result = evaluate_windowed([(events, detections)], 1000, WindowEvalConfig(tolerance_k=15, margin_h=15))
         plain = soft_confusion(events, detections, 1000 - 30, 15)
         assert result.confusion.tp_s == pytest.approx(plain.tp_s, abs=1e-12)
         assert result.confusion.fp_s == pytest.approx(plain.fp_s, abs=1e-12)
@@ -331,7 +331,7 @@ class TestEvaluateWindowed:
                 sorted(rng.integers(0, 300, size=4).tolist()),
                 sorted(rng.integers(0, 300, size=4).tolist()),
             ))
-        windowed = evaluate_windowed(window_sets, 300, WindowEvalConfig(k=15, h=0))
+        windowed = evaluate_windowed(window_sets, 300, WindowEvalConfig(tolerance_k=15, margin_h=0))
         total = SoftConfusion()
         for events, detections in window_sets:
             total += soft_confusion(events, detections, 300, 15)
@@ -347,10 +347,10 @@ class TestEvaluateWindowed:
         # cut off with the signal edge, so plain scoring books a miss there.
         window_a = ([52], [52])
         window_b = ([2], [])
-        restricted = evaluate_windowed([window_a, window_b], 100, WindowEvalConfig(k=15, h=15))
+        restricted = evaluate_windowed([window_a, window_b], 100, WindowEvalConfig(tolerance_k=15, margin_h=15))
         assert restricted.confusion.tp_s == 1.0
         assert restricted.confusion.fp_s + restricted.confusion.fn_s == 0.0
-        unrestricted = evaluate_windowed([window_a, window_b], 100, WindowEvalConfig(k=15, h=0))
+        unrestricted = evaluate_windowed([window_a, window_b], 100, WindowEvalConfig(tolerance_k=15, margin_h=0))
         assert unrestricted.confusion.fp_s + unrestricted.confusion.fn_s >= 1.0
 
     def test_histogram_masses_at_offsets(self):

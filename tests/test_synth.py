@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from strokedet.errors import ConfigError
 from strokedet.labels import ENDING, ONSET, EventLabel
+from strokedet.runs import SAMPLE_RATE_HZ
 from strokedet.synth import (
     GROUND_TRUTH_LEVEL,
     AthleteStyle,
@@ -25,7 +26,7 @@ def fixed_style(rate=60.0, rise=0.3, duty=0.6, amplitude=1.0):
 class TestGenerateRun:
     def test_fixed_rate_exact_spacing(self):
         cfg = SynthConfig(run_duration=10.0, baseline_noise=0.0, amplitude_jitter=0.0,
-                          dropout_prob=0.0, stroke_rate_range=(60.0, 60.0))
+                          dropout_prob=0.0, stroke_rate_min=60.0, stroke_rate_max=60.0)
         run = generate_run(cfg, fixed_style(rate=60.0), np.random.default_rng(0), "r0")
         onsets = [e.t for e in run.events if e.kind == ONSET]
         assert len(onsets) == 10
@@ -68,8 +69,8 @@ class TestGenerateRun:
 def reference_generate_run(cfg, style, rng):
     """The per-stroke loop `generate_run` replaced: one scalar amplitude draw
     and one threshold scan per stroke. Returns (force, events)."""
-    n = int(round(cfg.run_duration * cfg.sample_rate))
-    period = cfg.sample_rate * 60.0 / style.stroke_rate
+    n = int(round(cfg.run_duration * SAMPLE_RATE_HZ))
+    period = SAMPLE_RATE_HZ * 60.0 / style.stroke_rate
     duration = max(4, int(round(style.duty * period)))
     n_rise = max(1, int(round(style.rise_fraction * duration)))
     shape = _pulse_shape(n_rise, max(1, duration - n_rise))
@@ -104,7 +105,8 @@ class TestReference:
                                               duration, seed):
         # rates past ~600 strokes/min and duties near 1.5 overlap the pulses
         cfg = SynthConfig(run_duration=duration, amplitude_jitter=jitter, baseline_noise=noise,
-                          stroke_rate_range=(rate, rate), pulse_asymmetry_range=(rise, rise))
+                          stroke_rate_min=rate, stroke_rate_max=rate,
+                          pulse_asymmetry_min=rise, pulse_asymmetry_max=rise)
         style = fixed_style(rate=rate, rise=rise, duty=duty, amplitude=amplitude)
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         try:
@@ -204,6 +206,6 @@ class TestGenerateDataset:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
-            SynthConfig(stroke_rate_range=(0.0, 100.0))
+            SynthConfig(stroke_rate_min=0.0, stroke_rate_max=100.0)
         with pytest.raises(ConfigError):
             SynthConfig(dropout_prob=2.0)
