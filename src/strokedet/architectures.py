@@ -5,17 +5,19 @@ terminating conv of the fully convolutional models uses a single-tap kernel
 (kernel size 1) projecting to one linear output channel. GRU stacks end in a
 time-distributed linear dense unit.
 
-`KINDS` is the one place that defines a layer kind: its closed-form parameter
-count, its seeded init, its layer constructor, its output width and its
-layer-table label. Counts are computed without allocating weights:
+`KINDS` is the one place that defines a layer kind: the shape of each of
+its weight arrays, its seeded init, its layer constructor, its output width
+and its layer-table label. A layer's parameter count is the sum of its
+shapes' sizes, computed without allocating weights; the shapes sum to
 
     conv1d:   k*in*out + out
     dense:    in*out + out            (flatten mode: in = time*channels)
     gru:      3*h*(in+h) + 6*h        (reset-after, separate biases)
     bgru:     twice the gru count; the next layer sees 2*h input channels
 
-The flatten-dense kind has a count and a table row but no init or layer:
-its one model, cnn_dense, holds ~513M parameters and can only be counted.
+A kind with no layer constructor can only be counted. The flatten-dense kind
+is the one such kind: it has shapes and a table row but no init or layer,
+and its one model, cnn_dense, holds ~513M parameters.
 
 `Model` is the one execution path from windows to outputs and gradients:
 it binds a params dict at construction, `as_windows` is its input contract,
@@ -28,6 +30,7 @@ or hands back the `Model` itself on a host with no worker pool.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,11 +47,6 @@ DENSE_FLATTEN = "dense_flatten"
 DENSE_TD = "dense_timedistributed"
 GRU_KIND = "gru"
 BGRU_KIND = "bgru"
-
-# Specs above this many parameters, or with a kind that has no layer, can only
-# be counted (the dense-head CNN holds ~513M doubles, 4.1 GB, and Adam training
-# needs at least 4x that).
-LARGE_PARAM_THRESHOLD = 50_000_000
 
 DISPLAY_NAMES = {
     "cnn_dense": "CNN+dense",
@@ -145,13 +143,13 @@ def _dense_arrays(rng, fan_in: int, out: int) -> dict:
     return {"weight": _glorot_uniform(rng, fan_in, out, (fan_in, out)), "bias": np.zeros(out)}
 
 
-def _conv_arrays(rng, layer: LayerSpec, input_length: int) -> dict:
+def _conv_arrays(rng, layer: LayerSpec) -> dict:
     k, cin, cout = layer.kernel_size, layer.in_channels, layer.out_units
     return {"kernel": _glorot_uniform(rng, k * cin, k * cout, (k, cin, cout)), "bias": np.zeros(cout)}
 
 
-def _gru_count(in_channels: int, h: int) -> int:
-    return 3 * h * (in_channels + h) + 6 * h
+def _gru_shapes(in_channels: int, h: int) -> dict:
+    return {"W": (in_channels, 3 * h), "U": (h, 3 * h), "bw": (3 * h,), "bu": (3 * h,)}
 
 
 def _gru_arrays(rng, in_channels: int, h: int) -> dict:
@@ -162,22 +160,19 @@ def _gru_arrays(rng, in_channels: int, h: int) -> dict:
     return {"W": W, "U": U, "bw": np.zeros(3 * h), "bu": np.zeros(3 * h)}
 
 
-def _bgru_arrays(rng, layer: LayerSpec, input_length: int) -> dict:
-    arrays = {}
-    for side in ("fwd", "bwd"):
-        gru = _gru_arrays(rng, layer.in_channels, layer.out_units)
-        arrays.update({f"{side}.{k}": v for k, v in gru.items()})
-    return arrays
+def _sided(make) -> dict:
+    """The arrays or shapes of a BiGRU: `make()` once per direction, keyed `<side>.<name>`."""
+    return {f"{side}.{k}": v for side in ("fwd", "bwd") for k, v in make().items()}
 
 
 @dataclass(frozen=True)
 class LayerKind:
-    """Everything one layer kind means; each callable takes (LayerSpec, input_length)."""
+    """Everything one layer kind means."""
 
     label: str  # layer-table name
-    count: Callable  # closed-form parameter count, nothing allocated
-    init: Callable | None = None  # (rng, ...) -> seeded arrays by name, drawn in a fixed order
-    build: Callable | None = None  # -> the layer object from `layers`; None: counted only
+    shapes: Callable  # (LayerSpec, input_length) -> {array name: shape}, nothing allocated
+    init: Callable | None = None  # (rng, LayerSpec) -> seeded arrays by name, drawn in a fixed order
+    build: Callable | None = None  # (LayerSpec, arrays by name) -> the `layers` object; None: counted only
     width: int = 1  # output channels per unit
     flattens: bool = False  # consumes the whole window: its table row follows a flatten row
     kernel: bool = False  # uses LayerSpec.kernel_size
@@ -186,33 +181,33 @@ class LayerKind:
 KINDS = {
     CONV1D: LayerKind(
         "conv1d",
-        count=lambda l, n: l.kernel_size * l.in_channels * l.out_units + l.out_units,
+        shapes=lambda l, n: {"kernel": (l.kernel_size, l.in_channels, l.out_units), "bias": (l.out_units,)},
         init=_conv_arrays,
-        build=lambda l, n: Conv1D(l.in_channels, l.out_units, l.kernel_size, l.activation),
+        build=lambda l, a: Conv1D(a["kernel"], a["bias"], l.activation),
         kernel=True,
     ),
     DENSE_FLATTEN: LayerKind(
         "dense",
-        count=lambda l, n: n * l.in_channels * l.out_units + l.out_units,
+        shapes=lambda l, n: {"weight": (n * l.in_channels, l.out_units), "bias": (l.out_units,)},
         flattens=True,
     ),
     DENSE_TD: LayerKind(
         "dense",
-        count=lambda l, n: l.in_channels * l.out_units + l.out_units,
-        init=lambda rng, l, n: _dense_arrays(rng, l.in_channels, l.out_units),
-        build=lambda l, n: DenseTimeDistributed(l.in_channels, l.out_units, l.activation),
+        shapes=lambda l, n: {"weight": (l.in_channels, l.out_units), "bias": (l.out_units,)},
+        init=lambda rng, l: _dense_arrays(rng, l.in_channels, l.out_units),
+        build=lambda l, a: DenseTimeDistributed(a["weight"], a["bias"], l.activation),
     ),
     GRU_KIND: LayerKind(
         "gru",
-        count=lambda l, n: _gru_count(l.in_channels, l.out_units),
-        init=lambda rng, l, n: _gru_arrays(rng, l.in_channels, l.out_units),
-        build=lambda l, n: GRU(l.in_channels, l.out_units),
+        shapes=lambda l, n: _gru_shapes(l.in_channels, l.out_units),
+        init=lambda rng, l: _gru_arrays(rng, l.in_channels, l.out_units),
+        build=lambda l, a: GRU(**a),
     ),
     BGRU_KIND: LayerKind(
         "bidirectional",
-        count=lambda l, n: 2 * _gru_count(l.in_channels, l.out_units),
-        init=_bgru_arrays,
-        build=lambda l, n: BiGRU(l.in_channels, l.out_units),
+        shapes=lambda l, n: _sided(lambda: _gru_shapes(l.in_channels, l.out_units)),
+        init=lambda rng, l: _sided(lambda: _gru_arrays(rng, l.in_channels, l.out_units)),
+        build=lambda l, a: BiGRU(a),
         width=2,
     ),
 }
@@ -226,7 +221,7 @@ def layer_kind(kind: str) -> LayerKind:
 
 
 def layer_param_count(layer: LayerSpec, input_length: int = INPUT_LENGTH) -> int:
-    return layer_kind(layer.kind).count(layer, input_length)
+    return sum(math.prod(shape) for shape in layer_kind(layer.kind).shapes(layer, input_length).values())
 
 
 def layer_param_counts(spec: ArchitectureSpec) -> list:
@@ -246,7 +241,7 @@ def architecture_table(spec: ArchitectureSpec) -> list:
         idx = counters.get(layer.kind, 0)
         counters[layer.kind] = idx + 1
         label = kind.label + (f"_{idx}" if idx else "")
-        n_params = kind.count(layer, spec.input_length)
+        n_params = layer_param_count(layer, spec.input_length)
         if kind.flattens:
             rows.append(("flatten", f"(None, {spec.input_length * layer.in_channels})", 0, "-"))
             shape = f"(None, {layer.out_units})"
@@ -263,10 +258,10 @@ def layer_prefix(index: int, layer: LayerSpec) -> str:
 
 
 def _refuse_count_only(spec: ArchitectureSpec) -> None:
-    """ConfigError for a spec that can only be counted: above
-    LARGE_PARAM_THRESHOLD parameters, or with a layer kind that has no layer."""
-    total = count_params(spec)
-    if total > LARGE_PARAM_THRESHOLD or any(KINDS[l.kind].build is None for l in spec.layers):
+    """ConfigError for a spec that can only be counted: one with a layer kind
+    that has no layer constructor."""
+    if any(layer_kind(l.kind).build is None for l in spec.layers):
+        total = count_params(spec)
         raise ConfigError(
             f"{spec.name} holds {total:,} parameters: {8 * total / 1e9:.1f} GB of float64 "
             f"weights and at least {32 * total / 1e9:.1f} GB to train; it can only be counted"
@@ -284,7 +279,7 @@ def init_params(spec: ArchitectureSpec, seed: int) -> dict:
     params = {}
     for i, layer in enumerate(spec.layers):
         prefix = layer_prefix(i, layer)
-        arrays = layer_kind(layer.kind).init(rng, layer, spec.input_length)
+        arrays = layer_kind(layer.kind).init(rng, layer)
         params.update({f"{prefix}.{k}": v for k, v in arrays.items()})
     return params
 
@@ -302,31 +297,31 @@ def as_windows(windows) -> np.ndarray:
 
 
 class Model:
-    """Layer objects assembled from a spec, bound to the arrays of `params`
-    (shared, not copied: updating `params` in place updates the model).
-    A spec that can only be counted is refused before any layer is built."""
+    """Layer objects built from a spec and the arrays of `params`, whose names
+    and shapes are checked against each kind's `shapes` (shared, not copied:
+    updating `params` in place updates the model). A spec that can only be
+    counted is refused before any layer is built."""
 
     def __init__(self, spec: ArchitectureSpec, params: dict):
         _refuse_count_only(spec)
         self.spec = spec
         self.caches = []
-        self.layers = [layer_kind(layer.kind).build(layer, spec.input_length) for layer in spec.layers]
         self.prefixes = [layer_prefix(i, layer) for i, layer in enumerate(spec.layers)]
-        expected = {f"{prefix}.{key}" for prefix, obj in zip(self.prefixes, self.layers) for key in obj.params}
+        shapes = [layer_kind(layer.kind).shapes(layer, spec.input_length) for layer in spec.layers]
+        expected = {f"{prefix}.{key}" for prefix, table in zip(self.prefixes, shapes) for key in table}
         if expected != set(params):
             missing = expected - set(params)
             extra = set(params) - expected
             raise ConfigError(
                 f"params do not match {spec.name}: missing {sorted(missing)}, extra {sorted(extra)}"
             )
-        for prefix, obj in zip(self.prefixes, self.layers):
-            for key in list(obj.params):
-                value = np.asarray(params[f"{prefix}.{key}"], dtype=np.float64)
-                if value.shape != obj.params[key].shape:
-                    raise ConfigError(
-                        f"{prefix}.{key}: expected shape {obj.params[key].shape}, got {value.shape}"
-                    )
-                obj.params[key] = value
+        self.layers = []
+        for layer, prefix, table in zip(spec.layers, self.prefixes, shapes):
+            arrays = {key: np.asarray(params[f"{prefix}.{key}"], dtype=np.float64) for key in table}
+            for key, shape in table.items():
+                if arrays[key].shape != shape:
+                    raise ConfigError(f"{prefix}.{key}: expected shape {shape}, got {arrays[key].shape}")
+            self.layers.append(layer_kind(layer.kind).build(layer, arrays))
 
     def named_params(self):
         """(name, bound array) pairs in layer order."""

@@ -4,8 +4,8 @@ One flat namespace covers every stage (windowing, label encoding, model,
 training, event extraction, scoring, synthesis). `PipelineConfig` inherits
 the keys, defaults and checks of the four stage configs (`TrainConfig`,
 `ExtractorConfig`, `WindowEvalConfig`, `SynthConfig`) and adds the window,
-label, model and split keys. Unknown keys are rejected, and the stage keys
-are checked when the config is loaded. `#` starts a comment; CLI
+label, model and split keys. Unknown keys are rejected, and every key is
+checked when the config is loaded. `#` starts a comment; CLI
 `--set key=value` overrides file values.
 
 Defaults (the one documented reference; a test keeps it equal to the code):
@@ -48,6 +48,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .architectures import build_architecture
 from .errors import ConfigError
 from .labels import DEFAULT_KERNEL_WINDOW, DEFAULT_SIGMA
 from .postprocess import ExtractorConfig
@@ -74,6 +75,18 @@ class PipelineConfig(*_STAGES):
     def __post_init__(self):
         for stage in _STAGES:
             stage.__post_init__(self)
+        if self.window_length <= 0 or self.window_stride <= 0:
+            raise ConfigError("window length and stride must be positive")
+        if self.label_kernel_window < 1 or not self.label_sigma > 0:
+            raise ConfigError(f"label_kernel_window must be >= 1 and label_sigma positive, "
+                              f"got {self.label_kernel_window} and {self.label_sigma}")
+        build_architecture(self.arch)
+        if self.n_folds < 2:
+            raise ConfigError(f"n_folds must be >= 2, got {self.n_folds}")
+        if not 0.0 <= self.holdout_fraction < 1.0:
+            raise ConfigError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
+        if not 0 <= self.val_fold < self.n_folds:
+            raise ConfigError(f"val_fold must be in [0, n_folds = {self.n_folds}), got {self.val_fold}")
 
     def _stage(self, stage):
         return stage(**{f.name: getattr(self, f.name) for f in fields(stage)})

@@ -21,7 +21,7 @@ _REL_FLOOR = 1e-3
 
 
 def _make_layer(kind: str, shape):
-    """The layer object for `shape` and its input (time, channels).
+    """The layer object for `shape`, on zero arrays, and its input (time, channels).
 
     Kinds with a kernel are checked through a ReLU, whose kink is the hard
     case for finite differences; the others through their linear map.
@@ -30,12 +30,12 @@ def _make_layer(kind: str, shape):
     t, cin, out, *k = shape
     spec = LayerSpec(kind, cin, out, "relu" if entry.kernel else "linear",
                      kernel_size=k[0] if k else 0)
-    return entry.build(spec, t), (t, cin)
+    return entry.build(spec, {name: np.zeros(s) for name, s in entry.shapes(spec, t).items()}), (t, cin)
 
 
 def _randomize(layer, rng):
-    for key in layer.params:
-        layer.params[key] = rng.uniform(-1.0, 1.0, size=layer.params[key].shape)
+    for value in layer.params.values():
+        value[...] = rng.uniform(-1.0, 1.0, size=value.shape)
 
 
 def _loss(layer, x, target):

@@ -2,12 +2,15 @@
 
 All layers operate on float64 arrays shaped (batch, time, channels) and hold
 no activations: `forward(x)` returns `(y, cache)`, a list the caller keeps of
-what backward needs. Every layer exposes `params` and `grads` dicts keyed by
-array name; `backward(gy, cache)` takes the gradient w.r.t. the layer output
-and returns the gradient w.r.t. the layer input while filling `grads`. It
-runs two parts: `backward_rows(gy, cache)`, which works row by row, empties
-`cache` as it unpacks it and returns the input gradient with the reduction
-inputs (optionally written or copied into caller buffers, shaped as
+what backward needs. A layer is built from the weight arrays it runs on and
+reads its dimensions from their shapes; it holds those arrays, not copies, so
+writing them in place updates the layer. Every layer exposes them as `params`
+and its gradients as `grads`, dicts keyed by array name. `backward(gy, cache)`
+takes the gradient w.r.t. the layer output and returns the gradient w.r.t.
+the layer input while filling `grads`. It runs two parts:
+`backward_rows(gy, cache)`, which works row by row, empties `cache` as it
+unpacks it and returns the input gradient with the reduction inputs
+(optionally written or copied into caller buffers, shaped as
 `reduce_shapes(t)` says for windows of t samples), and `reduce`, which fills
 `grads` from reduction inputs of a whole batch. Row shards of a batch can run
 the first part apart (`strokedet.shards`) and leave the second to one process.
@@ -80,21 +83,16 @@ def _backward(self, gy: np.ndarray, cache: list) -> np.ndarray:
 
 
 class Conv1D:
-    """Same-padded 1-D convolution over (batch, time, channels)."""
+    """Same-padded 1-D convolution over (batch, time, channels) with `kernel`
+    (kernel_size, in_channels, out_channels) and `bias` (out_channels,)."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 3,
-                 activation: str = "relu"):
-        if kernel_size % 2 != 1 or kernel_size < 1:
-            raise ConfigError(f"kernel size must be odd and positive, got {kernel_size}")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
+    def __init__(self, kernel: np.ndarray, bias: np.ndarray, activation: str = "relu"):
+        self.kernel_size, self.in_channels, self.out_channels = kernel.shape
+        if self.kernel_size % 2 != 1:
+            raise ConfigError(f"kernel size must be odd and positive, got {self.kernel_size}")
         self.activation = activation
         self._act, self._act_grad = _activation(activation)
-        self.params = {
-            "kernel": np.zeros((kernel_size, in_channels, out_channels)),
-            "bias": np.zeros(out_channels),
-        }
+        self.params = {"kernel": kernel, "bias": bias}
         self.grads = {}
 
     def forward(self, x: np.ndarray) -> tuple:
@@ -140,17 +138,14 @@ class Conv1D:
 
 
 class DenseTimeDistributed:
-    """Applies the same affine map independently at every time step."""
+    """Applies the same affine map, `weight` (in_channels, out_units) and
+    `bias` (out_units,), independently at every time step."""
 
-    def __init__(self, in_channels: int, out_units: int, activation: str = "linear"):
-        self.in_channels = in_channels
-        self.out_units = out_units
+    def __init__(self, weight: np.ndarray, bias: np.ndarray, activation: str = "linear"):
+        self.in_channels, self.out_units = weight.shape
         self.activation = activation
         self._act, self._act_grad = _activation(activation)
-        self.params = {
-            "weight": np.zeros((in_channels, out_units)),
-            "bias": np.zeros(out_units),
-        }
+        self.params = {"weight": weight, "bias": bias}
         self.grads = {}
 
     def forward(self, x: np.ndarray) -> tuple:
@@ -182,18 +177,13 @@ class DenseTimeDistributed:
 
 
 class GRU:
-    """Unidirectional GRU returning the full hidden sequence."""
+    """Unidirectional GRU returning the full hidden sequence, with input
+    weights `W` (in_channels, 3h), recurrent weights `U` (h, 3h) and biases
+    `bw` and `bu` (3h,)."""
 
-    def __init__(self, in_channels: int, hidden: int):
-        self.in_channels = in_channels
-        self.hidden = hidden
-        h = hidden
-        self.params = {
-            "W": np.zeros((in_channels, 3 * h)),
-            "U": np.zeros((h, 3 * h)),
-            "bw": np.zeros(3 * h),
-            "bu": np.zeros(3 * h),
-        }
+    def __init__(self, W: np.ndarray, U: np.ndarray, bw: np.ndarray, bu: np.ndarray):
+        self.in_channels, self.hidden = W.shape[0], U.shape[0]
+        self.params = {"W": W, "U": U, "bw": bw, "bu": bu}
         self.grads = {}
 
     def forward(self, x: np.ndarray) -> tuple:
@@ -288,24 +278,21 @@ class GRU:
 class BiGRU:
     """Two GRUs over opposite time directions, hidden sequences concatenated.
 
-    `params` and `grads` are flat like every other layer's, keyed
-    `fwd.<array>` and `bwd.<array>`; `forward` hands each direction its arrays.
+    `params` is flat like every other layer's, keyed `fwd.<array>` and
+    `bwd.<array>`, and each direction's GRU holds the same arrays; `grads`
+    is keyed the same way.
     """
 
-    def __init__(self, in_channels: int, hidden: int):
-        self.in_channels = in_channels
-        self.hidden = hidden
-        self.fwd = GRU(in_channels, hidden)
-        self.bwd = GRU(in_channels, hidden)
-        self.params = {f"{side}.{k}": v for side, gru in self._sides() for k, v in gru.params.items()}
+    def __init__(self, params: dict):
+        self.params = params
+        self.fwd, self.bwd = (GRU(**self._split(params, side)) for side in ("fwd", "bwd"))
+        self.in_channels, self.hidden = self.fwd.in_channels, self.fwd.hidden
         self.grads = {}
 
     def _sides(self):
         return (("fwd", self.fwd), ("bwd", self.bwd))
 
     def forward(self, x: np.ndarray) -> tuple:
-        for side, gru in self._sides():
-            gru.params = {k: self.params[f"{side}.{k}"] for k in gru.params}
         yf, cf = self.fwd.forward(x)
         yb, cb = self.bwd.forward(x[:, ::-1])
         return np.concatenate([yf, yb[:, ::-1]], axis=2), [cf, cb]
@@ -313,8 +300,8 @@ class BiGRU:
     def reduce_shapes(self, t: int) -> dict:
         return {f"{side}.{k}": v for side, gru in self._sides() for k, v in gru.reduce_shapes(t).items()}
 
-    def _split(self, red: dict | None, side: str) -> dict | None:
-        return None if red is None else {k[len(side) + 1:]: v for k, v in red.items() if k.startswith(side + ".")}
+    def _split(self, arrays: dict | None, side: str) -> dict | None:
+        return None if arrays is None else {k[len(side) + 1:]: v for k, v in arrays.items() if k.startswith(side + ".")}
 
     def backward_rows(self, gy: np.ndarray, cache: list, out: dict | None = None) -> tuple:
         # cache is [forward GRU's, backward GRU's], and each GRU empties its own

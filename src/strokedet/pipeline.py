@@ -120,8 +120,6 @@ def materialize_dataset(run_event_pairs, cfg: PipelineConfig) -> WindowDataset:
         [run for run, _ in run_event_pairs], cfg.n_folds, cfg.holdout_fraction, cfg.seed
     )
     length, stride = cfg.window_length, cfg.window_stride
-    if length <= 0 or stride <= 0:
-        raise ConfigError("window length and stride must be positive")
     rows = sum(len(range(0, len(run) - length + 1, stride)) for run, _ in run_event_pairs)
     X, Y = np.empty((rows, length)), np.empty((rows, length))
     label = functools.cache(lb.EventLabel)  # one shared label per (t, kind) in this call

@@ -7,7 +7,7 @@ noise. The ground-truth onset (ending) of a stroke is the first (last) sample
 where that pulse's own values exceed 5% of its amplitude, exactly known to the
 generator. So these labels are analytically defined, unlike the paper's expert
 labels: pulses do not overlap, and an untuned threshold rule on the smoothed
-signal recovers most of them (ROADMAP item 2).
+signal recovers most of them (ROADMAP item 4).
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ identical inputs give bit-identical weights.
 Every forward and backward pass goes through `architectures.Model`, the one
 execution path: `Model.mse_step` is the training step of `train_model`, and
 `Model.predict` the batched inference behind `predict_batch`. Architectures
-that can only be counted (above `LARGE_PARAM_THRESHOLD` parameters, such as
-cnn_dense) can be neither trained nor run.
+that can only be counted (cnn_dense, whose flatten-dense layer has no layer
+object) can be neither trained nor run.
 """
 
 from __future__ import annotations

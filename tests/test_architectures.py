@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from strokedet.architectures import (
+    KINDS,
     ArchitectureSpec,
     LayerSpec,
     Model,
@@ -13,6 +14,7 @@ from strokedet.architectures import (
     count_params,
     init_params,
     layer_param_counts,
+    layer_prefix,
 )
 from strokedet.errors import ConfigError
 
@@ -112,6 +114,27 @@ def test_init_param_sizes_match_counts_all_small_archs():
         spec = build_architecture(name)
         params = init_params(spec, seed=0)
         assert sum(v.size for v in params.values()) == TOTALS[name]
+
+
+@pytest.mark.parametrize("name", sorted(set(TOTALS) - {"cnn_dense"}))
+def test_init_params_match_the_shape_table(name):
+    spec = build_architecture(name)
+    expected = {f"{layer_prefix(i, layer)}.{key}": shape for i, layer in enumerate(spec.layers)
+                for key, shape in KINDS[layer.kind].shapes(layer, spec.input_length).items()}
+    assert {key: value.shape for key, value in init_params(spec, seed=0).items()} == expected
+
+
+@pytest.mark.parametrize("name, key", [
+    ("cnnc1", "layer00.conv1d.kernel"),
+    ("cnnc1", "layer06.conv1d.bias"),
+    ("gruc1", "layer02.dense_timedistributed.weight"),
+])
+def test_wrong_shape_refused(name, key):
+    spec = build_architecture(name)
+    params = init_params(spec, seed=0)
+    params[key] = np.zeros(params[key].shape + (1,))
+    with pytest.raises(ConfigError, match=f"{key}: expected shape"):
+        Model(spec, params)
 
 
 def test_architecture_table_includes_flatten_row():

@@ -364,9 +364,14 @@ def test_negative_seed_exit_code(workspace, tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["sg_window=4", "tolerance_k=0", "epochs=0", "stroke_rate_min=0"])
+@pytest.mark.parametrize("setting", [
+    "sg_window=4", "tolerance_k=0", "epochs=0", "stroke_rate_min=0",
+    # keys of PipelineConfig itself: window, label, model and split
+    "window_length=0", "window_stride=0", "n_folds=1", "holdout_fraction=2", "label_sigma=0",
+    "label_kernel_window=0", "arch=transformer", "val_fold=9", "val_fold=-1",
+])
 def test_invalid_value_refused_when_config_loads(capsys, setting):
-    # arch reads no stage config, so only the load-time check can refuse these
+    # arch uses no config value, so only the load-time check can refuse these
     assert main(["arch", "gruc1", "--set", setting]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")

@@ -81,30 +81,24 @@ def run(layer, x):
     return y[0]
 
 
-def make_gru(params):
-    cin, h3 = params["W"].shape
-    layer = GRU(cin, h3 // 3)
-    layer.params.update(params)
-    return layer
+def gru_zeros(cin, h):
+    return {"W": np.zeros((cin, 3 * h)), "U": np.zeros((h, 3 * h)), "bw": np.zeros(3 * h), "bu": np.zeros(3 * h)}
 
 
 def make_bigru(fwd_params, bwd_params):
-    cin, h3 = fwd_params["W"].shape
-    layer = BiGRU(cin, h3 // 3)
-    for side, params in (("fwd", fwd_params), ("bwd", bwd_params)):
-        layer.params.update({f"{side}.{k}": v for k, v in params.items()})
-    return layer
+    sides = (("fwd", fwd_params), ("bwd", bwd_params))
+    return BiGRU({f"{side}.{k}": v for side, params in sides for k, v in params.items()})
 
 
 class TestConv1dForward:
     def test_zero_kernel_zero_output(self):
         x = np.random.default_rng(0).normal(size=(10, 3))
-        out = run(Conv1D(3, 2, 3, activation="linear"), x)
+        out = run(Conv1D(np.zeros((3, 3, 2)), np.zeros(2), activation="linear"), x)
         assert not out.any()
 
     def test_delta_kernel_identity(self):
         x = np.random.default_rng(1).normal(size=(12, 1))
-        layer = Conv1D(1, 1, 3, activation="linear")
+        layer = Conv1D(np.zeros((3, 1, 1)), np.zeros(1), activation="linear")
         layer.params["kernel"][1, 0, 0] = 1.0
         np.testing.assert_allclose(run(layer, x), x, atol=1e-15)
 
@@ -126,25 +120,23 @@ class TestConv1dForward:
                         for ci in range(cin):
                             acc += x[src, ci] * kernel[j, ci, co]
                 expected[ti, co] = acc
-        layer = Conv1D(cin, cout, k, activation="linear")
-        layer.params.update(kernel=kernel, bias=bias)
+        layer = Conv1D(kernel, bias, activation="linear")
         np.testing.assert_allclose(run(layer, x), expected, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            run(Conv1D(3, 1, 3), np.zeros((5, 2)))
+            run(Conv1D(np.zeros((3, 3, 1)), np.zeros(1)), np.zeros((5, 2)))
 
 
 class TestDenseForward:
     def test_zero_weight_constant_bias(self):
         x = np.random.default_rng(0).normal(size=(6, 2))
-        layer = DenseTimeDistributed(2, 3)
-        layer.params["bias"] = np.full(3, 1.5)
+        layer = DenseTimeDistributed(np.zeros((2, 3)), np.full(3, 1.5))
         assert (run(layer, x) == 1.5).all()
 
     def test_timedistributed_param_shape(self):
         # 128-channel input, one output unit -> 129 parameters
-        layer = DenseTimeDistributed(128, 1)
+        layer = DenseTimeDistributed(np.zeros((128, 1)), np.zeros(1))
         assert sum(v.size for v in layer.params.values()) == 129
         out = run(layer, np.zeros((5, 128)))
         assert out.shape == (5, 1)
@@ -162,7 +154,7 @@ class TestDenseForward:
 class TestGruForward:
     def test_zero_params_zero_output(self):
         x = np.random.default_rng(0).normal(size=(7, 2))
-        assert not run(GRU(2, 3), x).any()
+        assert not run(GRU(**gru_zeros(2, 3)), x).any()
 
     def test_matches_scalar_gate_oracle(self):
         rng = np.random.default_rng(7)
@@ -183,14 +175,14 @@ class TestGruForward:
             n = np.tanh(gx[2 * h:] + r * gh[2 * h:])
             hidden = z * hidden + (1.0 - z) * n
             expected.append(hidden.copy())
-        np.testing.assert_allclose(run(make_gru(params), x), np.array(expected), atol=1e-12)
+        np.testing.assert_allclose(run(GRU(**params), x), np.array(expected), atol=1e-12)
 
     def test_update_gate_one_keeps_the_zero_state(self):
         rng = np.random.default_rng(3)
         params = gru_params(rng, 2, 4)
         params["bw"] = params["bw"].copy()
         params["bw"][:4] = 1e3  # saturates z at exactly 1.0
-        out = run(make_gru(params), rng.uniform(-1, 1, (6, 2)))
+        out = run(GRU(**params), rng.uniform(-1, 1, (6, 2)))
         np.testing.assert_array_equal(out, np.zeros((6, 4)))
 
     @staticmethod
@@ -198,7 +190,7 @@ class TestGruForward:
         rng = np.random.default_rng(11)
         params = gru_params(rng, cin, h)
         x = rng.uniform(-1, 1, (b, t, cin))
-        layer = make_gru(params)
+        layer = GRU(**params)
         expected, reference_cache = reference_gru_forward(params, x)
         out, cache = layer.forward(x)
         np.testing.assert_array_equal(out, expected)
@@ -264,11 +256,11 @@ class TestBidirectionalForward:
 
 
 _LAYERS = {
-    "conv1d": lambda t: Conv1D(2, 3, 3),
-    "conv1d_k1": lambda t: Conv1D(2, 1, 1, "linear"),
-    "dense_td": lambda t: DenseTimeDistributed(2, 3),
-    "gru": lambda t: GRU(2, 4),
-    "bgru": lambda t: BiGRU(2, 4),
+    "conv1d": lambda t: Conv1D(np.zeros((3, 2, 3)), np.zeros(3)),
+    "conv1d_k1": lambda t: Conv1D(np.zeros((1, 2, 1)), np.zeros(1), "linear"),
+    "dense_td": lambda t: DenseTimeDistributed(np.zeros((2, 3)), np.zeros(3)),
+    "gru": lambda t: GRU(**gru_zeros(2, 4)),
+    "bgru": lambda t: make_bigru(gru_zeros(2, 4), gru_zeros(2, 4)),
 }
 
 
@@ -277,8 +269,8 @@ _LAYERS = {
 def test_reduce_shapes_are_the_per_row_shapes_of_the_reduction_inputs(kind, t):
     rng = np.random.default_rng(0)
     layer = _LAYERS[kind](t)
-    for name, value in layer.params.items():
-        layer.params[name] = rng.uniform(-1, 1, value.shape)
+    for value in layer.params.values():
+        value[...] = rng.uniform(-1, 1, value.shape)
     y, cache = layer.forward(rng.uniform(-1, 1, (3, t, 2)))
     _, red = layer.backward_rows(rng.uniform(-1, 1, y.shape), cache)
     assert {name: value.shape[1:] for name, value in red.items()} == layer.reduce_shapes(t)
@@ -308,8 +300,7 @@ class TestModelForward:
         ref = x
         for i, layer in enumerate(spec.layers):
             prefix = f"layer{i:02d}.conv1d"
-            conv = Conv1D(layer.in_channels, layer.out_units, layer.kernel_size, layer.activation)
-            conv.params.update(kernel=params[f"{prefix}.kernel"], bias=params[f"{prefix}.bias"])
+            conv = Conv1D(params[f"{prefix}.kernel"], params[f"{prefix}.bias"], layer.activation)
             ref = run(conv, ref)
         out = Model(spec, params).predict(x[None], batch_size=1)[0]
         np.testing.assert_allclose(out, ref[:, 0], atol=1e-10)
