@@ -38,7 +38,7 @@ import numpy as np
 
 from . import shards
 from .errors import ConfigError, NumericError
-from .layers import GRU, BiGRU, Conv1D, DenseTimeDistributed
+from .layers import GRU, SIDES, BiGRU, Conv1D, DenseTimeDistributed, join_sides
 
 INPUT_LENGTH = 1000
 
@@ -160,11 +160,6 @@ def _gru_arrays(rng, in_channels: int, h: int) -> dict:
     return {"W": W, "U": U, "bw": np.zeros(3 * h), "bu": np.zeros(3 * h)}
 
 
-def _sided(make) -> dict:
-    """The arrays or shapes of a BiGRU: `make()` once per direction, keyed `<side>.<name>`."""
-    return {f"{side}.{k}": v for side in ("fwd", "bwd") for k, v in make().items()}
-
-
 @dataclass(frozen=True)
 class LayerKind:
     """Everything one layer kind means."""
@@ -205,8 +200,8 @@ KINDS = {
     ),
     BGRU_KIND: LayerKind(
         "bidirectional",
-        shapes=lambda l, n: _sided(lambda: _gru_shapes(l.in_channels, l.out_units)),
-        init=lambda rng, l: _sided(lambda: _gru_arrays(rng, l.in_channels, l.out_units)),
+        shapes=lambda l, n: join_sides(*(_gru_shapes(l.in_channels, l.out_units) for _ in SIDES)),
+        init=lambda rng, l: join_sides(*(_gru_arrays(rng, l.in_channels, l.out_units) for _ in SIDES)),
         build=lambda l, a: BiGRU(a),
         width=2,
     ),
@@ -348,15 +343,14 @@ class Model:
         """Backpropagates `gy`, (batch, time), through the last training
         `forward`, popping each layer's cache as the layer takes it.
 
-        Without `outs` each layer reduces its weight gradients as it goes.
-        With `outs`, one dict of buffers per layer shaped as its
-        `reduce_shapes` says, each layer only writes its reduction inputs
-        there for `reduce`.
+        Without `outs` each layer's `backward` also reduces its weight
+        gradients, on buffers it allocates; with `outs`, one buffer dict per
+        layer, each layer's `backward_rows` only fills its dict for `reduce`.
         """
         g = gy[:, :, None]
         for i in reversed(range(len(self.layers))):
             obj, cache = self.layers[i], self.caches.pop()
-            g = obj.backward(g, cache) if outs is None else obj.backward_rows(g, cache, outs[i])[0]
+            g = obj.backward(g, cache) if outs is None else obj.backward_rows(g, cache, outs[i])
         return g
 
     def gradients(self) -> dict:

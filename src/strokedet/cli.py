@@ -2,8 +2,8 @@
 
 Every command is a pure function of (config, input files); reruns with the
 same inputs produce byte-identical outputs apart from the manifest's
-created_at field. Exit codes: 0 success, 2 config error, 3 data error,
-4 numeric failure.
+created_at field. Exit codes: 0 success, 2 config error (an output path that
+cannot be written included), 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -34,14 +34,17 @@ from .training import predict_batch, save_history_csv, train_model
 from .weights_io import load_arrays, save_arrays, save_arrays_json
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None, help="key = value config file")
-    parser.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="KEY=VALUE", help="override a config key (repeatable)")
-
-
 def _config(args) -> PipelineConfig:
     return load_config(args.config, args.overrides)
+
+
+def _load_dataset(args, cfg: PipelineConfig) -> pl.WindowDataset:
+    """The dataset of `--data`, refused when `cfg`'s window keys do not fit its windows."""
+    ds = pl.load_dataset(args.data)
+    se.valid_range(ds.window_length, cfg.margin_h)
+    if cfg.sg_window > ds.window_length:
+        raise ConfigError(f"sg_window {cfg.sg_window} exceeds the {ds.window_length}-sample windows")
+    return ds
 
 
 def cmd_synth(args) -> int:
@@ -125,7 +128,7 @@ def _window_outputs(ds: pl.WindowDataset, indices, cfg: PipelineConfig, args) ->
 
 def cmd_predict(args) -> int:
     cfg = _config(args)
-    ds = pl.load_dataset(args.data)
+    ds = _load_dataset(args, cfg)
     indices = ds.partition_indices(args.partition, val_fold=cfg.val_fold)
     outputs = _window_outputs(ds, indices, cfg, args)
     extractor = cfg.extractor_config()
@@ -154,7 +157,7 @@ def _fmt(value) -> str:
 
 def cmd_evaluate(args) -> int:
     cfg = _config(args)
-    ds = pl.load_dataset(args.data)
+    ds = _load_dataset(args, cfg)
     indices = ds.partition_indices(args.partition, val_fold=cfg.val_fold)
     outputs = _window_outputs(ds, indices, cfg, args)
     result = _evaluate(ds, indices, outputs, cfg)
@@ -170,7 +173,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_crossval(args) -> int:
     cfg = _config(args)
-    ds = pl.load_dataset(args.data)
+    ds = _load_dataset(args, cfg)
     spec = build_architecture(cfg.arch)
     n_params = count_params(spec)
     rows = []
@@ -238,21 +241,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="strokedet",
         description="Paddle-stroke event detection pipeline on 1-D force signals.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, default=None, help="key = value config file")
+    common.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY=VALUE", help="override a config key (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
-    _add_common(p)
-    p.add_argument("--out", required=True, help="output directory for runs + manifest")
-    p.set_defaults(func=cmd_synth)
+    def command(name, func, summary, outputs=("out",)):
+        """A subcommand; `outputs` names its options that give paths it writes."""
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(func=func, outputs=outputs)
+        return p
 
-    p = sub.add_parser("preprocess", help="windows, targets, and split plan from raw runs")
-    _add_common(p)
+    p = command("synth", cmd_synth, "generate a labeled synthetic dataset")
+    p.add_argument("--out", required=True, help="output directory for runs + manifest")
+
+    p = command("preprocess", cmd_preprocess, "windows, targets, and split plan from raw runs")
     p.add_argument("--data", required=True, help="directory with run CSVs and event files")
     p.add_argument("--out", required=True, help="output directory for the materialized dataset")
-    p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train", help="train one architecture on the train partition")
-    _add_common(p)
+    p = command("train", cmd_train, "train one architecture on the train partition",
+                outputs=("weights", "weights_json", "history"))
     p.add_argument("--arch", default=None, help="architecture name (overrides config)")
     p.add_argument("--data", default=None, help="preprocessed dataset directory")
     p.add_argument("--weights", type=Path, default=None, help="output weights file")
@@ -260,42 +269,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", type=Path, default=None, help="output per-epoch loss CSV")
     p.add_argument("--count-only", action="store_true",
                    help="print the exact parameter count and exit")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="extract detections for a partition")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--weights", type=Path, default=None)
-    p.add_argument("--predict-from-labels", action="store_true",
-                   help="use smoothed targets as the model output (oracle mode)")
-    p.add_argument("--partition", default=rn.HOLDOUT)
-    p.add_argument("--out", required=True, help="output detections JSONL")
-    p.set_defaults(func=cmd_predict)
+    for name, func, summary, out in [
+        ("predict", cmd_predict, "extract detections for a partition", "output detections JSONL"),
+        ("evaluate", cmd_evaluate, "soft precision/recall/F1 with margin restriction",
+         "output directory for metrics + histogram"),
+    ]:
+        p = command(name, func, summary)
+        p.add_argument("--data", required=True)
+        p.add_argument("--weights", type=Path, default=None)
+        p.add_argument("--predict-from-labels", action="store_true",
+                       help="use smoothed targets as the model output (oracle mode)")
+        p.add_argument("--partition", default=rn.HOLDOUT)
+        p.add_argument("--out", required=True, help=out)
 
-    p = sub.add_parser("evaluate", help="soft precision/recall/F1 with margin restriction")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--weights", type=Path, default=None)
-    p.add_argument("--predict-from-labels", action="store_true",
-                   help="use smoothed targets as the model output (oracle mode)")
-    p.add_argument("--partition", default=rn.HOLDOUT)
-    p.add_argument("--out", required=True, help="output directory for metrics + histogram")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("crossval", help="subject-aware k-fold training and evaluation")
-    _add_common(p)
+    p = command("crossval", cmd_crossval, "subject-aware k-fold training and evaluation")
     p.add_argument("--arch", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory for the report")
-    p.set_defaults(func=cmd_crossval)
 
-    p = sub.add_parser("arch", help="print layer tables and exact parameter counts")
-    _add_common(p)
+    p = command("arch", cmd_arch, "print layer tables and exact parameter counts", outputs=())
     p.add_argument("name", nargs="?", default=None,
                    help="one architecture name; omit to list all eight")
-    p.set_defaults(func=cmd_arch)
 
     return parser
+
+
+def _writes(args, path: Path) -> bool:
+    """Whether `path` is one of the command's output paths or lies under one."""
+    outputs = {Path(value) for name in args.outputs if (value := getattr(args, name)) is not None}
+    return not outputs.isdisjoint({path, *path.parents})
 
 
 def main(argv=None) -> int:
@@ -306,8 +309,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except StrokedetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        error = exc
+    except OSError as exc:
+        if exc.filename is None or not _writes(args, Path(exc.filename)):
+            raise
+        error = ConfigError(f"cannot write {exc.filename}: {exc.strerror}")
+    print(f"error: {error}", file=sys.stderr)
+    return error.exit_code
 
 
 if __name__ == "__main__":

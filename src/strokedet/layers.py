@@ -7,13 +7,14 @@ reads its dimensions from their shapes; it holds those arrays, not copies, so
 writing them in place updates the layer. Every layer exposes them as `params`
 and its gradients as `grads`, dicts keyed by array name. `backward(gy, cache)`
 takes the gradient w.r.t. the layer output and returns the gradient w.r.t.
-the layer input while filling `grads`. It runs two parts:
-`backward_rows(gy, cache)`, which works row by row, empties `cache` as it
-unpacks it and returns the input gradient with the reduction inputs
-(optionally written or copied into caller buffers, shaped as
-`reduce_shapes(t)` says for windows of t samples), and `reduce`, which fills
-`grads` from reduction inputs of a whole batch. Row shards of a batch can run
-the first part apart (`strokedet.shards`) and leave the second to one process.
+the layer input while filling `grads`, in two parts that share the buffers
+`out`, shaped per row as `reduce_shapes(t)` says for windows of t samples:
+`backward_rows(gy, cache, out)` works row by row, empties `cache` as it
+unpacks it, writes the reduction inputs into `out` (freeing the cached
+arrays it is done with before each copy) and returns the input gradient;
+`reduce` fills `grads` from the `out` of a whole batch. `backward` allocates
+`out` itself; row shards of a batch (`strokedet.shards`) run the first part
+apart on their rows of arena buffers and leave the second to one process.
 
 The GRU uses the reset-after gate formulation with separate input and
 recurrent biases (parameter count per direction: 3*h*(in+h) + 6*h):
@@ -51,11 +52,11 @@ from scipy.special import expit as _sigmoid
 from .errors import ConfigError
 
 # name -> (activation of the pre-activation a, gradient w.r.t. a given gy,
-# written into `out` when given)
+# written into `out`)
 ACTIVATIONS = {
     "relu": (lambda a: np.maximum(a, 0.0),
-             lambda a, gy, out=None: np.multiply(gy, a > 0.0, out=out)),
-    "linear": (lambda a: a, lambda a, gy, out=None: np.positive(gy, out=out)),
+             lambda a, gy, out: np.multiply(gy, a > 0.0, out=out)),
+    "linear": (lambda a: a, lambda a, gy, out: np.positive(gy, out=out)),
 }
 
 
@@ -66,19 +67,26 @@ def _activation(name: str) -> tuple:
         raise ConfigError(f"unknown activation {name!r}") from None
 
 
-def _reduction_inputs(out: dict | None, **arrays) -> dict:
-    """`arrays` as they are, or copied into the same-named buffers of `out`."""
-    if out is None:
-        return arrays
-    for name, value in arrays.items():
-        np.copyto(out[name], value)
-    return {name: out[name] for name in arrays}
+SIDES = ("fwd", "bwd")  # a BiGRU's directions, the prefixes of its array keys
+
+
+def join_sides(*per_side: dict) -> dict:
+    """One dict per direction, in `SIDES` order, as one dict keyed `<side>.<name>`."""
+    return {f"{side}.{name}": v for side, arrays in zip(SIDES, per_side) for name, v in arrays.items()}
+
+
+def split_sides(arrays: dict) -> tuple:
+    """The per-direction dicts that `join_sides` joined, in `SIDES` order."""
+    return tuple({key[len(side) + 1:]: v for key, v in arrays.items() if key.startswith(side + ".")}
+                 for side in SIDES)
 
 
 def _backward(self, gy: np.ndarray, cache: list) -> np.ndarray:
-    """The per-row part and the reduction run together: `gy` -> dx, filling `grads`."""
-    dx, red = self.backward_rows(gy, cache)
-    self.reduce(red)
+    """The per-row part and the reduction on new buffers: `gy` -> dx, filling `grads`."""
+    b, t = gy.shape[:2]
+    out = {name: np.empty((b,) + shape) for name, shape in self.reduce_shapes(t).items()}
+    dx = self.backward_rows(gy, cache, out)
+    self.reduce(out)
     return dx
 
 
@@ -112,19 +120,20 @@ class Conv1D:
     def reduce_shapes(self, t: int) -> dict:
         return {"xp": (t + self.kernel_size - 1, self.in_channels), "da": (t, self.out_channels)}
 
-    def backward_rows(self, gy: np.ndarray, cache: list, out: dict | None = None) -> tuple:
+    def backward_rows(self, gy: np.ndarray, cache: list, out: dict) -> np.ndarray:
         xp, a = cache
         cache.clear()
         kernel = self.params["kernel"]
         t = gy.shape[1]
         pad = (self.kernel_size - 1) // 2
-        da = self._act_grad(a, gy, None if out is None else out["da"])
-        del a  # freed before dxp is allocated
-        dxp = np.zeros_like(xp)
+        da = self._act_grad(a, gy, out["da"])
+        del a  # freed before xp is copied
+        np.copyto(out["xp"], xp)
+        del xp  # freed before dxp is allocated
+        dxp = np.zeros_like(out["xp"])
         for j in range(self.kernel_size):
             dxp[:, j:j + t] += da @ kernel[j].T
-        red = _reduction_inputs(out, xp=xp)
-        return (dxp[:, pad:pad + t] if pad else dxp), {**red, "da": da}
+        return dxp[:, pad:pad + t] if pad else dxp
 
     def reduce(self, red: dict) -> None:
         xp, da = red["xp"], red["da"]
@@ -159,11 +168,12 @@ class DenseTimeDistributed:
     def reduce_shapes(self, t: int) -> dict:
         return {"x": (t, self.in_channels), "da": (t, self.out_units)}
 
-    def backward_rows(self, gy: np.ndarray, cache: list, out: dict | None = None) -> tuple:
+    def backward_rows(self, gy: np.ndarray, cache: list, out: dict) -> np.ndarray:
         x, a = cache
         cache.clear()
-        da = self._act_grad(a, gy, None if out is None else out["da"])
-        return da @ self.params["weight"].T, {**_reduction_inputs(out, x=x), "da": da}
+        da = self._act_grad(a, gy, out["da"])
+        np.copyto(out["x"], x)
+        return da @ self.params["weight"].T
 
     def reduce(self, red: dict) -> None:
         x, da = red["x"], red["da"]
@@ -220,7 +230,7 @@ class GRU:
         h, h3 = self.hidden, 3 * self.hidden
         return {"x": (t, self.in_channels), "dgx": (t, h3), "hprev": (t, h), "dgh": (t, h3)}
 
-    def backward_rows(self, gy: np.ndarray, cache: list, out: dict | None = None) -> tuple:
+    def backward_rows(self, gy: np.ndarray, cache: list, out: dict) -> np.ndarray:
         x, hs, g, ghn = cache
         cache.clear()
         b, t, h = gy.shape
@@ -229,8 +239,7 @@ class GRU:
         # bits from the same rows of a larger product, and rows must not
         # depend on how a batch is cut into shards
         U_T = np.ascontiguousarray(self.params["U"].T)
-        dgx = np.empty((b, t, 3 * h)) if out is None else out["dgx"]
-        dgh = np.empty((b, t, 3 * h)) if out is None else out["dgh"]
+        dgx, dgh = out["dgx"], out["dgh"]
         dht, dz, dn, omz, tmp = (np.empty((b, h)) for _ in range(5))
         dh = np.zeros((b, h))
         for step in range(t - 1, -1, -1):
@@ -255,18 +264,18 @@ class GRU:
             dgh[:, step, :2 * h] = dgx[:, step, :2 * h]
             np.multiply(dan, r, out=dgh[:, step, 2 * h:])
             dh += np.matmul(dgh[:, step], U_T, out=tmp)
-        red = _reduction_inputs(out, x=x, hprev=hs[:-1].transpose(1, 0, 2))
-        return dgx @ self.params["W"].T, {**red, "dgx": dgx, "dgh": dgh}
+        g = ghn = gs = z = r = n = gn = hp = None  # the gate cache goes before the copies
+        np.copyto(out["x"], x)
+        np.copyto(out["hprev"], hs[:-1].transpose(1, 0, 2))
+        del x, hs  # freed before dx is allocated
+        return dgx @ self.params["W"].T
 
     def reduce(self, red: dict) -> None:
         x, dgx, hprev, dgh = red["x"], red["dgx"], red["hprev"], red["dgh"]
         b, t, _ = dgx.shape
         bt = b * t
-        # in C order, as a worker's buffer holds it: a one-row reversed input
-        # reshapes to a negative-stride view, whose product avoids BLAS and
-        # differs in the last bits
         self.grads = {
-            "W": np.ascontiguousarray(x).reshape(bt, -1).T @ dgx.reshape(bt, -1),
+            "W": x.reshape(bt, -1).T @ dgx.reshape(bt, -1),
             "U": hprev.reshape(bt, -1).T @ dgh.reshape(bt, -1),
             "bw": dgx.sum(axis=(0, 1)),
             "bu": dgh.sum(axis=(0, 1)),
@@ -278,19 +287,15 @@ class GRU:
 class BiGRU:
     """Two GRUs over opposite time directions, hidden sequences concatenated.
 
-    `params` is flat like every other layer's, keyed `fwd.<array>` and
-    `bwd.<array>`, and each direction's GRU holds the same arrays; `grads`
-    is keyed the same way.
+    `params`, `grads` and the reduction buffers are flat like every other
+    layer's, keyed by `join_sides`; each direction's GRU holds its arrays.
     """
 
     def __init__(self, params: dict):
         self.params = params
-        self.fwd, self.bwd = (GRU(**self._split(params, side)) for side in ("fwd", "bwd"))
+        self.fwd, self.bwd = (GRU(**arrays) for arrays in split_sides(params))
         self.in_channels, self.hidden = self.fwd.in_channels, self.fwd.hidden
         self.grads = {}
-
-    def _sides(self):
-        return (("fwd", self.fwd), ("bwd", self.bwd))
 
     def forward(self, x: np.ndarray) -> tuple:
         yf, cf = self.fwd.forward(x)
@@ -298,32 +303,26 @@ class BiGRU:
         return np.concatenate([yf, yb[:, ::-1]], axis=2), [cf, cb]
 
     def reduce_shapes(self, t: int) -> dict:
-        return {f"{side}.{k}": v for side, gru in self._sides() for k, v in gru.reduce_shapes(t).items()}
+        return join_sides(self.fwd.reduce_shapes(t), self.bwd.reduce_shapes(t))
 
-    def _split(self, arrays: dict | None, side: str) -> dict | None:
-        return None if arrays is None else {k[len(side) + 1:]: v for k, v in arrays.items() if k.startswith(side + ".")}
-
-    def backward_rows(self, gy: np.ndarray, cache: list, out: dict | None = None) -> tuple:
+    def backward_rows(self, gy: np.ndarray, cache: list, out: dict) -> np.ndarray:
         # cache is [forward GRU's, backward GRU's], and each GRU empties its own
         h = self.hidden
-        dxf, redf = self.fwd.backward_rows(gy[:, :, :h], cache[0], self._split(out, "fwd"))
-        dxb, redb = self.bwd.backward_rows(gy[:, ::-1, h:], cache[1], self._split(out, "bwd"))
-        red = {**{f"fwd.{k}": v for k, v in redf.items()}, **{f"bwd.{k}": v for k, v in redb.items()}}
-        return dxf + dxb[:, ::-1], red
+        outf, outb = split_sides(out)
+        dxf = self.fwd.backward_rows(gy[:, :, :h], cache[0], outf)
+        dxb = self.bwd.backward_rows(gy[:, ::-1, h:], cache[1], outb)
+        return dxf + dxb[:, ::-1]
 
     def reduce(self, red: dict) -> None:
-        for side, gru in self._sides():
-            gru.reduce(self._split(red, side))
-        self._collect_grads()
-
-    def _collect_grads(self) -> None:
-        self.grads = {f"{side}.{k}": v for side, gru in self._sides() for k, v in gru.grads.items()}
+        for gru, side in zip((self.fwd, self.bwd), split_sides(red)):
+            gru.reduce(side)
+        self.grads = join_sides(self.fwd.grads, self.bwd.grads)
 
     def backward(self, gy: np.ndarray, cache: list) -> np.ndarray:
         # each direction reduces before the next one runs, so only one
-        # direction's reduction inputs are alive at a time
+        # direction's reduction buffers are alive at a time
         h = self.hidden
         dxf = self.fwd.backward(gy[:, :, :h], cache[0])
         dxb = self.bwd.backward(gy[:, ::-1, h:], cache[1])[:, ::-1]
-        self._collect_grads()
+        self.grads = join_sides(self.fwd.grads, self.bwd.grads)
         return dxf + dxb

@@ -88,9 +88,11 @@ def write_synth_manifest(out_dir, cfg: PipelineConfig, entries, created_at: str)
 
 
 def load_runs_dir(data_dir):
-    """Read every run CSV plus its events file; boat types come from the manifest."""
+    """Read every run CSV plus its events file; boat types come from the manifest,
+    and with a manifest the run CSVs must be the runs it lists."""
     data_dir = Path(data_dir)
     boat_types = {}
+    run_paths = sorted(data_dir.glob("run*_ath*.csv"))
     manifest_path = data_dir / MANIFEST
     if manifest_path.exists():
         try:
@@ -98,8 +100,13 @@ def load_runs_dir(data_dir):
             boat_types = {e["run_id"]: e["boat_type"] for e in manifest.get("files", [])}
         except (OSError, AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise DataError(f"{manifest_path}: not a valid manifest: {exc}") from exc
+        on_disk = {rn.run_file_ids(path)[0]: path.name for path in run_paths}
+        unlisted = sorted(name for run_id, name in on_disk.items() if run_id not in boat_types)
+        missing = sorted(map(str, boat_types.keys() - on_disk.keys()))
+        if unlisted or missing:
+            raise DataError(f"{manifest_path}: run CSVs it does not list: {unlisted}; "
+                            f"runs it lists with no CSV: {missing}")
     pairs = []
-    run_paths = sorted(data_dir.glob("run*_ath*.csv"))
     if not run_paths:
         raise DataError(f"{data_dir}: no run CSV files found")
     for path in run_paths:

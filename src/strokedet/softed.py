@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
@@ -112,13 +112,8 @@ class SoftConfusion:
     n_time: int = 0
 
     def __iadd__(self, other: "SoftConfusion") -> "SoftConfusion":
-        self.tp_s += other.tp_s
-        self.fp_s += other.fp_s
-        self.fn_s += other.fn_s
-        self.tn_s += other.tn_s
-        self.n_events += other.n_events
-        self.n_detections += other.n_detections
-        self.n_time += other.n_time
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
 
 
@@ -203,7 +198,7 @@ def associate(events, detections, k) -> Assignment:
 def valid_range(n_time: int, h: int) -> range:
     """0-based valid indices {i | h <= i < n_time - h}; cardinality n_time - 2h."""
     if 2 * h >= n_time:
-        raise ConfigError(f"margin {h} leaves no valid range in a {n_time}-sample window")
+        raise ConfigError(f"margin_h {h} leaves no valid range in a {n_time}-sample window")
     return range(h, n_time - h)
 
 
@@ -301,18 +296,9 @@ def evaluate_windowed(window_sets, n_time: int, cfg: WindowEvalConfig | None = N
 # --- report files -------------------------------------------------------------
 
 def metrics_payload(result: WindowedEvaluation) -> dict:
-    return {
-        "precision": result.metrics.precision,
-        "recall": result.metrics.recall,
-        "f1": result.metrics.f1,
-        "tp_s": result.confusion.tp_s,
-        "fp_s": result.confusion.fp_s,
-        "fn_s": result.confusion.fn_s,
-        "tn_s": result.confusion.tn_s,
-        "n_windows": result.n_windows,
-        "k": result.k,
-        "h": result.h,
-    }
+    c = result.confusion
+    return {**asdict(result.metrics), "tp_s": c.tp_s, "fp_s": c.fp_s, "fn_s": c.fn_s, "tn_s": c.tn_s,
+            "n_windows": result.n_windows, "k": result.k, "h": result.h}
 
 
 def write_metrics_json(result: WindowedEvaluation, path) -> None:

@@ -456,6 +456,53 @@ def test_margin_inconsistency_exit_code(workspace, tmp_path):
     ])) == 2
 
 
+@pytest.mark.parametrize("setting", ["margin_h=600", "sg_window=1001"])
+@pytest.mark.parametrize("command", ["crossval", "predict", "evaluate"])
+def test_window_keys_that_do_not_fit_the_dataset_are_refused_before_training(
+        workspace, tmp_path, capsys, monkeypatch, command, setting):
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained before the window keys were checked")
+
+    monkeypatch.setattr("strokedet.cli.train_model", refuse)
+    extra = [] if command == "crossval" else ["--predict-from-labels"]
+    assert main([command] + tiny_args([
+        "--data", str(workspace / "data"), "--out", str(tmp_path / "o"), "--set", setting, *extra,
+    ])) == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("synth", "--out"), ("preprocess", "--out"), ("train", "--weights"), ("train", "--weights-json"),
+    ("train", "--history"), ("predict", "--out"), ("evaluate", "--out"), ("crossval", "--out"),
+])
+def test_unwritable_output_path_exit_code(workspace, tmp_path, capsys, command, option):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "x")  # under a regular file: neither a file nor a directory can be made
+    data = str(workspace / ("raw" if command == "preprocess" else "data"))
+    inputs = {
+        "synth": [],
+        "train": ["--data", data, "--weights", str(tmp_path / "w.bin")],
+        "predict": ["--data", data, "--predict-from-labels"],
+        "evaluate": ["--data", data, "--predict-from-labels"],
+    }.get(command, ["--data", data])
+    assert main([command] + tiny_args(inputs + [option, target])) == 2
+    assert target in capsys.readouterr().err
+
+
+def test_preprocess_refuses_run_files_the_manifest_does_not_list(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    assert main(["synth"] + tiny_args(["--out", str(raw), "--set", "n_athletes=5"])) == 0
+    earlier = {path.name for path in raw.glob("run*_ath*.csv")}
+    assert main(["synth"] + tiny_args(["--out", str(raw)])) == 0
+    listed = {entry["run_csv"] for entry in json.loads((raw / "manifest.json").read_text())["files"]}
+    stale = earlier - listed
+    assert stale
+    assert main(["preprocess"] + tiny_args(["--data", str(raw), "--out", str(tmp_path / "d")])) == 3
+    err = capsys.readouterr().err
+    assert all(name in err for name in stale)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exit_code(workspace, tmp_path):
     # the dense-layer scale grows ~1e9x per SGD step at this rate; enough

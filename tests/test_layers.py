@@ -13,7 +13,7 @@ from strokedet.architectures import (
     init_params,
 )
 from strokedet.errors import ConfigError, NumericError
-from strokedet.layers import GRU, BiGRU, Conv1D, DenseTimeDistributed
+from strokedet.layers import GRU, BiGRU, Conv1D, DenseTimeDistributed, join_sides
 
 
 def gru_params(rng, cin, h):
@@ -86,8 +86,7 @@ def gru_zeros(cin, h):
 
 
 def make_bigru(fwd_params, bwd_params):
-    sides = (("fwd", fwd_params), ("bwd", bwd_params))
-    return BiGRU({f"{side}.{k}": v for side, params in sides for k, v in params.items()})
+    return BiGRU(join_sides(fwd_params, bwd_params))
 
 
 class TestConv1dForward:
@@ -267,13 +266,19 @@ _LAYERS = {
 @pytest.mark.parametrize("t", [7, 12])
 @pytest.mark.parametrize("kind", list(_LAYERS))
 def test_reduce_shapes_are_the_per_row_shapes_of_the_reduction_inputs(kind, t):
+    # backward_rows overwrites every entry of NaN buffers shaped as reduce_shapes
+    # says, and reduce turns them into finite gradients
     rng = np.random.default_rng(0)
     layer = _LAYERS[kind](t)
     for value in layer.params.values():
         value[...] = rng.uniform(-1, 1, value.shape)
     y, cache = layer.forward(rng.uniform(-1, 1, (3, t, 2)))
-    _, red = layer.backward_rows(rng.uniform(-1, 1, y.shape), cache)
-    assert {name: value.shape[1:] for name, value in red.items()} == layer.reduce_shapes(t)
+    out = {name: np.full((3,) + shape, np.nan) for name, shape in layer.reduce_shapes(t).items()}
+    layer.backward_rows(rng.uniform(-1, 1, y.shape), cache, out)
+    assert [name for name, value in out.items() if not np.isfinite(value).all()] == []
+    layer.reduce(out)
+    assert set(layer.grads) == set(layer.params)
+    assert all(np.isfinite(value).all() for value in layer.grads.values())
 
 
 class TestModelForward:

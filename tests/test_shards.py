@@ -107,8 +107,9 @@ def test_a_single_core_host_gives_the_same_bytes(cores, case):
     # one core: no workers, and BLAS starts one thread, as each worker runs
     # with; at the gruc1 shape, and at the cnnc1 shape's reduction length
     # b * t = 400, two BLAS threads give other bits in the reductions. The
-    # bgruc1 case ends on a one-row batch, whose reversed input stays a
-    # negative-stride view unless the reduction copies it.
+    # bgruc1 case ends on a one-row batch, whose reversed input would reshape
+    # to a negative-stride view; the backward pass copies it into a C-order
+    # buffer, in-process as on the workers.
     cores(2)
     sharded = _train_and_predict(*case)[0]
     out = subprocess.run([sys.executable, "-c", _ONE_CORE, str(SRC), str(Path(__file__).parent),
