@@ -5,10 +5,14 @@ terminating conv of the fully convolutional models uses a single-tap kernel
 (kernel size 1) projecting to one linear output channel. GRU stacks end in a
 time-distributed linear dense unit.
 
-`KINDS` is the one place that defines a layer kind: the shape of each of
-its weight arrays, its seeded init, its layer constructor, its output width
-and its layer-table label. A layer's parameter count is the sum of its
-shapes' sizes, computed without allocating weights; the shapes sum to
+Two tables declare the models. `KINDS` defines each layer kind: each weight
+array's shape and seeded draw (`LayerKind.arrays`, in draw order), its layer
+constructor, its output width and its layer-table label. `ARCHITECTURES` maps
+each of the eight names to its display name and its layer tuple. Three draws
+cover every array: Glorot-uniform in side-by-side blocks (one per gate in a
+GRU's `W`), per-gate orthogonal blocks (a GRU's `U`) and zeros (every bias).
+A layer's parameter count is the sum of its shapes' sizes, computed without
+allocating weights; the shapes sum to
 
     conv1d:   k*in*out + out
     dense:    in*out + out            (flatten mode: in = time*channels)
@@ -16,8 +20,7 @@ shapes' sizes, computed without allocating weights; the shapes sum to
     bgru:     twice the gru count; the next layer sees 2*h input channels
 
 A kind with no layer constructor can only be counted. The flatten-dense kind
-is the one such kind: it has shapes and a table row but no init or layer,
-and its one model, cnn_dense, holds ~513M parameters.
+is the one such kind: its one model, cnn_dense, holds ~513M parameters.
 
 `Model` is the one execution path from windows to outputs and gradients:
 it binds a params dict at construction, `as_windows` is its input contract,
@@ -48,19 +51,6 @@ DENSE_TD = "dense_timedistributed"
 GRU_KIND = "gru"
 BGRU_KIND = "bgru"
 
-DISPLAY_NAMES = {
-    "cnn_dense": "CNN+dense",
-    "cnnc1": "CNNc1",
-    "cnnc2": "CNNc2",
-    "cnnc3": "CNNc3",
-    "gruc1": "GRUc1",
-    "bgruc1": "BGRUc1",
-    "bgruc2": "BGRUc2",
-    "bgruc3": "BGRUc3",
-}
-
-ARCHITECTURE_NAMES = tuple(DISPLAY_NAMES)
-
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -85,79 +75,38 @@ def canonical_name(name: str) -> str:
     return key
 
 
-def _conv_chain(plan: tuple) -> list:
-    return [LayerSpec(CONV1D, cin, cout, "relu", kernel_size=3) for cin, cout in zip((1,) + plan, plan)]
+def _side_by_side(blocks: np.ndarray, shape) -> np.ndarray:
+    """(blocks, *lead, w) as `shape`, (*lead, blocks * w), block b in columns [b*w, (b+1)*w)."""
+    return np.moveaxis(blocks, 0, -2).reshape(shape)  # a view of one block: no copy
 
 
-def _recurrent_stack(kind: str, hidden: int, depth: int) -> list:
-    width = KINDS[kind].width * hidden
-    layers = [LayerSpec(kind, width if i else 1, hidden, "tanh") for i in range(depth)]
-    return layers + [LayerSpec(DENSE_TD, width, 1, "linear")]
+def _glorot(rng: np.random.Generator, shape, blocks: int = 1) -> np.ndarray:
+    """Glorot-uniform in `blocks` side-by-side blocks, each with its own fans
+    (fan_in + fan_out = receptive field * (rows + block columns))."""
+    *lead, width = shape
+    limit = np.sqrt(6.0 / (math.prod(lead[:-1]) * (lead[-1] + width // blocks)))
+    return _side_by_side(rng.uniform(-limit, limit, size=(blocks, *lead, width // blocks)), shape)
 
 
-_VGG_BASE = (64, 64, 128, 256, 512, 512)
-_CONV_PLANS = {
-    "cnnc1": _VGG_BASE,
-    "cnnc2": (64, 64, 128, 128, 256, 256, 512, 512, 1024, 1024),
-    "cnnc3": (64, 64, 64, 128, 128, 128, 256, 256, 256, 512, 512, 512, 1024, 1024, 1024),
-}
-_RECURRENT_PLANS = {  # (kind, hidden units, recurrent layers)
-    "gruc1": (GRU_KIND, 64, 2),
-    "bgruc1": (BGRU_KIND, 64, 2),
-    "bgruc2": (BGRU_KIND, 64, 4),
-    "bgruc3": (BGRU_KIND, 128, 4),
-}
+def _orthogonal(rng: np.random.Generator, shape) -> np.ndarray:
+    """(n, blocks * n): one sign-fixed orthogonal n x n block per gate."""
+    n, width = shape
+    q, r = np.linalg.qr(rng.standard_normal((width // n, n, n)))
+    return _side_by_side(q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :], shape)
 
 
-def build_architecture(name: str) -> ArchitectureSpec:
-    """Layer list for one of the eight published model names."""
-    key = canonical_name(name)
-    if key == "cnn_dense":
-        layers = _conv_chain(_VGG_BASE)
-        layers.append(LayerSpec(DENSE_FLATTEN, _VGG_BASE[-1], INPUT_LENGTH, "linear"))
-    elif key in _CONV_PLANS:
-        plan = _CONV_PLANS[key]
-        layers = _conv_chain(plan)
-        layers.append(LayerSpec(CONV1D, plan[-1], 1, "linear", kernel_size=1))
-    elif key in _RECURRENT_PLANS:
-        layers = _recurrent_stack(*_RECURRENT_PLANS[key])
-    else:
-        raise ConfigError(
-            f"unknown architecture {name!r}; known: {', '.join(ARCHITECTURE_NAMES)}"
-        )
-    return ArchitectureSpec(name=key, layers=tuple(layers))
+def _zeros(rng: np.random.Generator, shape) -> np.ndarray:
+    return np.zeros(shape)
 
 
-def _glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def _dense(fan_in: int, out: int) -> dict:
+    return {"weight": ((fan_in, out), _glorot), "bias": ((out,), _zeros)}
 
 
-def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    return q * np.sign(np.diag(r))
-
-
-def _dense_arrays(rng, fan_in: int, out: int) -> dict:
-    return {"weight": _glorot_uniform(rng, fan_in, out, (fan_in, out)), "bias": np.zeros(out)}
-
-
-def _conv_arrays(rng, layer: LayerSpec) -> dict:
-    k, cin, cout = layer.kernel_size, layer.in_channels, layer.out_units
-    return {"kernel": _glorot_uniform(rng, k * cin, k * cout, (k, cin, cout)), "bias": np.zeros(cout)}
-
-
-def _gru_shapes(in_channels: int, h: int) -> dict:
-    return {"W": (in_channels, 3 * h), "U": (h, 3 * h), "bw": (3 * h,), "bu": (3 * h,)}
-
-
-def _gru_arrays(rng, in_channels: int, h: int) -> dict:
-    W = np.concatenate(
-        [_glorot_uniform(rng, in_channels, h, (in_channels, h)) for _ in range(3)], axis=1
-    )
-    U = np.concatenate([_orthogonal(rng, h) for _ in range(3)], axis=1)
-    return {"W": W, "U": U, "bw": np.zeros(3 * h), "bu": np.zeros(3 * h)}
+def _gru(layer: LayerSpec) -> dict:
+    cin, h = layer.in_channels, layer.out_units
+    return {"W": ((cin, 3 * h), lambda rng, shape: _glorot(rng, shape, blocks=3)),
+            "U": ((h, 3 * h), _orthogonal), "bw": ((3 * h,), _zeros), "bu": ((3 * h,), _zeros)}
 
 
 @dataclass(frozen=True)
@@ -165,47 +114,75 @@ class LayerKind:
     """Everything one layer kind means."""
 
     label: str  # layer-table name
-    shapes: Callable  # (LayerSpec, input_length) -> {array name: shape}, nothing allocated
-    init: Callable | None = None  # (rng, LayerSpec) -> seeded arrays by name, drawn in a fixed order
+    arrays: Callable  # (LayerSpec, input_length) -> {array name: (shape, draw(rng, shape))}, in draw order
     build: Callable | None = None  # (LayerSpec, arrays by name) -> the `layers` object; None: counted only
     width: int = 1  # output channels per unit
     flattens: bool = False  # consumes the whole window: its table row follows a flatten row
-    kernel: bool = False  # uses LayerSpec.kernel_size
+
+    def shapes(self, layer: LayerSpec, input_length: int) -> dict:
+        """{array name: shape}, nothing allocated."""
+        return {name: shape for name, (shape, _) in self.arrays(layer, input_length).items()}
 
 
 KINDS = {
     CONV1D: LayerKind(
         "conv1d",
-        shapes=lambda l, n: {"kernel": (l.kernel_size, l.in_channels, l.out_units), "bias": (l.out_units,)},
-        init=_conv_arrays,
+        arrays=lambda l, n: {"kernel": ((l.kernel_size, l.in_channels, l.out_units), _glorot),
+                             "bias": ((l.out_units,), _zeros)},
         build=lambda l, a: Conv1D(a["kernel"], a["bias"], l.activation),
-        kernel=True,
     ),
-    DENSE_FLATTEN: LayerKind(
-        "dense",
-        shapes=lambda l, n: {"weight": (n * l.in_channels, l.out_units), "bias": (l.out_units,)},
-        flattens=True,
-    ),
+    DENSE_FLATTEN: LayerKind("dense", arrays=lambda l, n: _dense(n * l.in_channels, l.out_units), flattens=True),
     DENSE_TD: LayerKind(
         "dense",
-        shapes=lambda l, n: {"weight": (l.in_channels, l.out_units), "bias": (l.out_units,)},
-        init=lambda rng, l: _dense_arrays(rng, l.in_channels, l.out_units),
+        arrays=lambda l, n: _dense(l.in_channels, l.out_units),
         build=lambda l, a: DenseTimeDistributed(a["weight"], a["bias"], l.activation),
     ),
-    GRU_KIND: LayerKind(
-        "gru",
-        shapes=lambda l, n: _gru_shapes(l.in_channels, l.out_units),
-        init=lambda rng, l: _gru_arrays(rng, l.in_channels, l.out_units),
-        build=lambda l, a: GRU(**a),
-    ),
+    GRU_KIND: LayerKind("gru", arrays=lambda l, n: _gru(l), build=lambda l, a: GRU(**a)),
     BGRU_KIND: LayerKind(
         "bidirectional",
-        shapes=lambda l, n: join_sides(*(_gru_shapes(l.in_channels, l.out_units) for _ in SIDES)),
-        init=lambda rng, l: join_sides(*(_gru_arrays(rng, l.in_channels, l.out_units) for _ in SIDES)),
+        arrays=lambda l, n: join_sides(*(_gru(l) for _ in SIDES)),
         build=lambda l, a: BiGRU(a),
         width=2,
     ),
 }
+
+
+def _conv_net(plan: tuple, head: LayerSpec | None = None) -> tuple:
+    """Kernel-3 ReLU convs through the channel counts of `plan`, then `head`,
+    by default the single-tap conv to one linear output channel."""
+    chain = tuple(LayerSpec(CONV1D, cin, cout, "relu", kernel_size=3) for cin, cout in zip((1,) + plan, plan))
+    return chain + (head or LayerSpec(CONV1D, plan[-1], 1, "linear", kernel_size=1),)
+
+
+def _recurrent_net(kind: str, hidden: int, depth: int) -> tuple:
+    """`depth` recurrent layers of `hidden` units, then the time-distributed linear unit."""
+    width = KINDS[kind].width * hidden
+    layers = tuple(LayerSpec(kind, width if i else 1, hidden, "tanh") for i in range(depth))
+    return layers + (LayerSpec(DENSE_TD, width, 1, "linear"),)
+
+
+_VGG_BASE = (64, 64, 128, 256, 512, 512)
+_FLATTEN_HEAD = LayerSpec(DENSE_FLATTEN, _VGG_BASE[-1], INPUT_LENGTH, "linear")
+ARCHITECTURES = {  # name -> (display name, layers)
+    "cnn_dense": ("CNN+dense", _conv_net(_VGG_BASE, _FLATTEN_HEAD)),
+    "cnnc1": ("CNNc1", _conv_net(_VGG_BASE)),
+    "cnnc2": ("CNNc2", _conv_net((64, 64, 128, 128, 256, 256, 512, 512, 1024, 1024))),
+    "cnnc3": ("CNNc3", _conv_net((64, 64, 64, 128, 128, 128, 256, 256, 256, 512, 512, 512, 1024, 1024, 1024))),
+    "gruc1": ("GRUc1", _recurrent_net(GRU_KIND, 64, 2)),
+    "bgruc1": ("BGRUc1", _recurrent_net(BGRU_KIND, 64, 2)),
+    "bgruc2": ("BGRUc2", _recurrent_net(BGRU_KIND, 64, 4)),
+    "bgruc3": ("BGRUc3", _recurrent_net(BGRU_KIND, 128, 4)),
+}
+DISPLAY_NAMES = {name: display for name, (display, _) in ARCHITECTURES.items()}
+ARCHITECTURE_NAMES = tuple(ARCHITECTURES)
+
+
+def build_architecture(name: str) -> ArchitectureSpec:
+    """Layer list for one of the eight published model names."""
+    key = canonical_name(name)
+    if key not in ARCHITECTURES:
+        raise ConfigError(f"unknown architecture {name!r}; known: {', '.join(ARCHITECTURE_NAMES)}")
+    return ArchitectureSpec(name=key, layers=ARCHITECTURES[key][1])
 
 
 def layer_kind(kind: str) -> LayerKind:
@@ -264,19 +241,13 @@ def _refuse_count_only(spec: ArchitectureSpec) -> None:
 
 
 def init_params(spec: ArchitectureSpec, seed: int) -> dict:
-    """Seeded weight arrays for every layer, keyed by '<layer prefix>.<array>'.
-
-    Glorot-uniform input/dense/conv weights, per-gate orthogonal recurrent
-    weights, zero biases. A spec that can only be counted is refused.
-    """
+    """Seeded weight arrays for every layer, keyed by '<layer prefix>.<array>',
+    drawn in the order of each kind's `arrays`. A spec that can only be
+    counted is refused."""
     _refuse_count_only(spec)
     rng = np.random.default_rng(seed)
-    params = {}
-    for i, layer in enumerate(spec.layers):
-        prefix = layer_prefix(i, layer)
-        arrays = layer_kind(layer.kind).init(rng, layer)
-        params.update({f"{prefix}.{k}": v for k, v in arrays.items()})
-    return params
+    return {f"{layer_prefix(i, layer)}.{key}": draw(rng, shape) for i, layer in enumerate(spec.layers)
+            for key, (shape, draw) in layer_kind(layer.kind).arrays(layer, spec.input_length).items()}
 
 
 def as_windows(windows) -> np.ndarray:

@@ -9,6 +9,7 @@ cannot be written included), 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -295,10 +296,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _writes(args, path: Path) -> bool:
-    """Whether `path` is one of the command's output paths or lies under one."""
-    outputs = {Path(value) for name in args.outputs if (value := getattr(args, name)) is not None}
-    return not outputs.isdisjoint({path, *path.parents})
+def _outputs(args) -> set:
+    """The paths given to the command's output options."""
+    return {Path(value) for name in args.outputs if (value := getattr(args, name)) is not None}
+
+
+def _refuse_unwritable_outputs(args) -> None:
+    """ConfigError naming the first output path that cannot be written: an
+    existing one this process cannot write, or a new one whose nearest existing
+    ancestor is not a directory it can write into. Creates nothing."""
+    for path in sorted(_outputs(args)):
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not os.access(existing, os.W_OK) or existing != path and not existing.is_dir():
+            what = "writable" if existing == path else "a writable directory"
+            raise ConfigError(f"cannot write {path}: {existing} is not {what}")
 
 
 def main(argv=None) -> int:
@@ -307,11 +318,12 @@ def main(argv=None) -> int:
     if getattr(args, "arch", None):
         args.overrides = list(args.overrides) + [f"arch={args.arch}"]
     try:
+        _refuse_unwritable_outputs(args)
         return args.func(args)
     except StrokedetError as exc:
         error = exc
-    except OSError as exc:
-        if exc.filename is None or not _writes(args, Path(exc.filename)):
+    except OSError as exc:  # a write that fails anyway, at or under an output path
+        if exc.filename is None or _outputs(args).isdisjoint({Path(exc.filename), *Path(exc.filename).parents}):
             raise
         error = ConfigError(f"cannot write {exc.filename}: {exc.strerror}")
     print(f"error: {error}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .architectures import KINDS, LayerSpec, layer_kind as _lookup_kind
+from .architectures import CONV1D, KINDS, LayerSpec, layer_kind as _lookup_kind
 from .errors import ConfigError
 from .layers import Conv1D
 
@@ -23,12 +23,12 @@ _REL_FLOOR = 1e-3
 def _make_layer(kind: str, shape):
     """The layer object for `shape`, on zero arrays, and its input (time, channels).
 
-    Kinds with a kernel are checked through a ReLU, whose kink is the hard
-    case for finite differences; the others through their linear map.
+    Conv1D is checked through a ReLU, whose kink is the hard case for finite
+    differences; the other kinds through their linear map.
     """
     entry = _lookup_kind(kind)
     t, cin, out, *k = shape
-    spec = LayerSpec(kind, cin, out, "relu" if entry.kernel else "linear",
+    spec = LayerSpec(kind, cin, out, "relu" if kind == CONV1D else "linear",
                      kernel_size=k[0] if k else 0)
     return entry.build(spec, {name: np.zeros(s) for name, s in entry.shapes(spec, t).items()}), (t, cin)
 
@@ -104,6 +104,6 @@ def random_toy_shape(layer_kind: str, rng) -> tuple:
     t = int(rng.integers(3, 9))
     cin = int(rng.integers(1, 5))
     cout = int(rng.integers(1, 5))
-    if _lookup_kind(layer_kind).kernel:
+    if layer_kind == CONV1D:
         return (t, cin, cout, int(rng.choice([1, 3])))
     return (t, cin, cout)

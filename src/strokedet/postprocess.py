@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_int_fields
 from .labels import ENDING, KIND_SIGNS, ONSET, jsonl_records, record_event
 
 
@@ -49,6 +49,7 @@ class ExtractorConfig:
     cluster_radius: int = 5
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.sg_window % 2 != 1 or self.sg_window <= self.sg_order:
             raise ConfigError(
                 f"sg_window must be odd and greater than sg_order, got {self.sg_window}/{self.sg_order}"

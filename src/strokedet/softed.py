@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int_fields
 from .labels import KIND_SIGNS, ONSET
 
 _TOL = 1e-9
@@ -132,6 +132,7 @@ class WindowEvalConfig:
     margin_h: int = 15
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.tolerance_k <= 0:
             raise ConfigError(f"tolerance k must be positive, got {self.tolerance_k}")
         if self.margin_h < 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int_fields
 from .labels import ENDING, ONSET, EventLabel
 from .runs import BOAT_TYPES, SAMPLE_RATE_HZ, RawRun
 
@@ -41,6 +41,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if not 0 < self.stroke_rate_min <= self.stroke_rate_max:
             raise ConfigError(f"invalid stroke rate range {self.stroke_rate_min}..{self.stroke_rate_max}")
         if not 0 < self.pulse_asymmetry_min <= self.pulse_asymmetry_max < 1:

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .architectures import ArchitectureSpec, Model, as_windows, init_params
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_int_fields
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -37,9 +36,10 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
+        check_int_fields(self)
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if not all(isinstance(v, numbers.Integral) and v > 0 for v in (self.epochs, self.batch_size)):
+        if self.epochs <= 0 or self.batch_size <= 0:
             raise ConfigError(f"epochs and batch_size must be positive integers, "
                               f"got {self.epochs!r} and {self.batch_size!r}")
         if self.optimizer not in ("sgd", "adam"):

@@ -1,9 +1,12 @@
 """Exact parameter-count fidelity for the eight published architectures."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from strokedet.architectures import (
+    ARCHITECTURE_NAMES,
     KINDS,
     ArchitectureSpec,
     LayerSpec,
@@ -16,6 +19,7 @@ from strokedet.architectures import (
     layer_param_counts,
     layer_prefix,
 )
+from strokedet.cli import main
 from strokedet.errors import ConfigError
 
 # Frozen per-layer parameter cells. cnn_dense's zero-parameter flatten stage
@@ -122,6 +126,67 @@ def test_init_params_match_the_shape_table(name):
     expected = {f"{layer_prefix(i, layer)}.{key}": shape for i, layer in enumerate(spec.layers)
                 for key, shape in KINDS[layer.kind].shapes(layer, spec.input_length).items()}
     assert {key: value.shape for key, value in init_params(spec, seed=0).items()} == expected
+
+
+# Per-kind seeded init, written out draw by draw: Glorot-uniform weights
+# (one block per gate for a GRU's W), per-gate orthogonal U, zero biases;
+# a BiGRU draws its forward side's arrays first.
+def _glorot_uniform(rng, fan_in, fan_out, shape):
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _conv_arrays(rng, layer):
+    k, cin, cout = layer.kernel_size, layer.in_channels, layer.out_units
+    return {"kernel": _glorot_uniform(rng, k * cin, k * cout, (k, cin, cout)), "bias": np.zeros(cout)}
+
+
+def _dense_arrays(rng, layer):
+    fan_in, out = layer.in_channels, layer.out_units
+    return {"weight": _glorot_uniform(rng, fan_in, out, (fan_in, out)), "bias": np.zeros(out)}
+
+
+def _gru_arrays(rng, layer):
+    cin, h = layer.in_channels, layer.out_units
+    W = np.concatenate([_glorot_uniform(rng, cin, h, (cin, h)) for _ in range(3)], axis=1)
+    U = np.concatenate([_orthogonal(rng, h) for _ in range(3)], axis=1)
+    return {"W": W, "U": U, "bw": np.zeros(3 * h), "bu": np.zeros(3 * h)}
+
+
+def _bgru_arrays(rng, layer):
+    return {f"{side}.{key}": value for side in ("fwd", "bwd")
+            for key, value in _gru_arrays(rng, layer).items()}
+
+
+_REFERENCE_ARRAYS = {"conv1d": _conv_arrays, "dense_timedistributed": _dense_arrays,
+                     "gru": _gru_arrays, "bgru": _bgru_arrays}
+
+
+def reference_init_params(spec, seed):
+    rng = np.random.default_rng(seed)
+    return {f"{layer_prefix(i, layer)}.{key}": value for i, layer in enumerate(spec.layers)
+            for key, value in _REFERENCE_ARRAYS[layer.kind](rng, layer).items()}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("name", [n for n in ARCHITECTURE_NAMES if n != "cnn_dense"])
+def test_init_params_bytes_equal_the_reference(name, seed):
+    spec = build_architecture(name)
+    got, want = init_params(spec, seed), reference_init_params(spec, seed)
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert got[key].dtype == value.dtype and got[key].shape == value.shape, key
+        assert got[key].tobytes() == value.tobytes(), key
+
+
+def test_arch_command_prints_the_pinned_tables(capsys):
+    assert main(["arch"]) == 0
+    assert capsys.readouterr().out == (Path(__file__).parent / "data" / "arch_tables.txt").read_text()
 
 
 @pytest.mark.parametrize("name, key", [

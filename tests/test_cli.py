@@ -475,19 +475,37 @@ def test_window_keys_that_do_not_fit_the_dataset_are_refused_before_training(
     ("synth", "--out"), ("preprocess", "--out"), ("train", "--weights"), ("train", "--weights-json"),
     ("train", "--history"), ("predict", "--out"), ("evaluate", "--out"), ("crossval", "--out"),
 ])
-def test_unwritable_output_path_exit_code(workspace, tmp_path, capsys, command, option):
+def test_unwritable_output_path_exit_code(workspace, tmp_path, capsys, monkeypatch, command, option):
+    def refuse(*args, **kwargs):
+        raise AssertionError("worked before the output paths were checked")
+
+    monkeypatch.setattr("strokedet.cli.train_model", refuse)
+    monkeypatch.setattr("strokedet.cli.predict_batch", refuse)
     blocker = tmp_path / "file"
     blocker.write_text("")
     target = str(blocker / "x")  # under a regular file: neither a file nor a directory can be made
     data = str(workspace / ("raw" if command == "preprocess" else "data"))
+    weights = tmp_path / "w.bin"
+    if command in ("predict", "evaluate"):
+        save_arrays(weights, init_params(build_architecture("gruc1"), seed=0))
     inputs = {
         "synth": [],
-        "train": ["--data", data, "--weights", str(tmp_path / "w.bin")],
-        "predict": ["--data", data, "--predict-from-labels"],
-        "evaluate": ["--data", data, "--predict-from-labels"],
+        "train": ["--data", data, "--weights", str(weights)],
+        "predict": ["--data", data, "--weights", str(weights)],
+        "evaluate": ["--data", data, "--weights", str(weights)],
     }.get(command, ["--data", data])
     assert main([command] + tiny_args(inputs + [option, target])) == 2
     assert target in capsys.readouterr().err
+    assert blocker.read_text() == "" and weights.exists() == (command in ("predict", "evaluate"))
+
+
+def test_output_write_that_fails_after_the_check_exit_code(workspace, tmp_path, capsys):
+    out = tmp_path / "metrics"
+    out.write_text("")  # a writable file where evaluate makes a directory
+    assert main(["evaluate"] + tiny_args([
+        "--data", str(workspace / "data"), "--predict-from-labels", "--out", str(out),
+    ])) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
 
 
 def test_preprocess_refuses_run_files_the_manifest_does_not_list(tmp_path, capsys):

@@ -100,3 +100,15 @@ def test_defaults_are_written_once():
     assert cfg.extractor_config() == ExtractorConfig()
     assert cfg.eval_config() == WindowEvalConfig()
     assert cfg.synth_config() == SynthConfig()
+
+
+@pytest.mark.parametrize("stage, setting", [
+    (WindowEvalConfig, {"tolerance_k": 7.5}), (WindowEvalConfig, {"margin_h": 2.5}),
+    (WindowEvalConfig, {"margin_h": True}), (ExtractorConfig, {"sg_window": 31.0}),
+    (ExtractorConfig, {"cluster_radius": 2.5}), (ExtractorConfig, {"sg_order": True}),
+    (SynthConfig, {"n_athletes": 3.0}), (SynthConfig, {"runs_per_athlete": 1.5}),
+    (SynthConfig, {"seed": 1.0}), (SynthConfig, {"seed": True}),
+])
+def test_an_int_key_refuses_a_non_integer(stage, setting):
+    with pytest.raises(ConfigError, match=f"{next(iter(setting))} must be an integer"):
+        stage(**setting)

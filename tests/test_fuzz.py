@@ -1,5 +1,5 @@
-"""Byte-mutation fuzzing of the file readers: whatever bytes a valid file is
-mutated into, its reader returns or raises a StrokedetError, nothing else."""
+"""Mutation fuzzing of the file readers: whatever bytes or lines a valid file
+is mutated into, its reader returns or raises a StrokedetError, nothing else."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from strokedet import labels as lb
 from strokedet import pipeline as pl
 from strokedet import postprocess as pp
 from strokedet import runs as rn
+from strokedet.cli import main
 from strokedet.errors import DataError, StrokedetError
 from strokedet.labels import ENDING, ONSET, EventLabel
 from strokedet.postprocess import Detection
@@ -89,23 +90,102 @@ def test_valid_file_reads(valid_files, reader):
     READERS[reader][2](valid_files[reader][0])
 
 
+def mutate_lines(blob: bytes, ops) -> bytes:
+    """`blob` with lines dropped, repeated or swapped; positions wrap around."""
+    lines = blob.splitlines(keepends=True)
+    for op, i, j in ops:
+        if not lines:
+            break
+        i, j = i % len(lines), j % len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+    return b"".join(lines)
+
+
+def byte_ops(blob: bytes):
+    # bytes drawn from anywhere, or from the file's own bytes (digits, quotes,
+    # braces, separators), which keep more mutants close to parsing
+    byte = st.integers(0, 255) | st.sampled_from(sorted(set(blob)))
+    return st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, len(blob)), byte),
+                    min_size=1, max_size=6)
+
+
+def line_ops(blob: bytes):
+    n = max(1, blob.count(b"\n"))
+    return st.lists(st.tuples(st.sampled_from(("drop", "repeat", "swap")),
+                              st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=3)
+
+
+def read_mutant(read, path, blob: bytes, mutant: bytes, target=None) -> None:
+    """Reads `target` (default: `path`) with `path` holding `mutant`; only a
+    StrokedetError may come out. `path` gets `blob` back."""
+    path.write_bytes(mutant)
+    try:
+        read(path if target is None else target)
+    except StrokedetError:
+        pass
+    finally:
+        path.write_bytes(blob)
+
+
 @pytest.mark.parametrize("reader", list(READERS))
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mutated_file_raises_only_strokedet_errors(valid_files, reader, data):
     path, blob = valid_files[reader]
-    # bytes drawn from anywhere, or from the file's own bytes (digits, quotes,
-    # braces, separators), which keep more mutants close to parsing
-    byte = st.integers(0, 255) | st.sampled_from(sorted(set(blob)))
-    ops = data.draw(st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, len(blob)), byte),
-                             min_size=1, max_size=6))
-    path.write_bytes(mutate(blob, ops))
-    try:
-        READERS[reader][2](path)
-    except StrokedetError:
-        pass
-    finally:
-        path.write_bytes(blob)
+    read_mutant(READERS[reader][2], path, blob, mutate(blob, data.draw(byte_ops(blob))))
+
+
+@pytest.mark.parametrize("reader", ["events", "detections", "run_csv", "split"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_line_mutated_file_raises_only_strokedet_errors(valid_files, reader, data):
+    path, blob = valid_files[reader]
+    read_mutant(READERS[reader][2], path, blob, mutate_lines(blob, data.draw(line_ops(blob))))
+
+
+@pytest.fixture(scope="module")
+def dataset_dirs(tmp_path_factory):
+    """A tiny synth directory and the dataset preprocessed from it."""
+    root = tmp_path_factory.mktemp("dirs")
+    tiny = ["n_athletes=4", "runs_per_athlete=1", "run_duration=3", "window_length=200",
+            "n_folds=2", "holdout_fraction=0.25"]
+    settings_args = [arg for kv in tiny for arg in ("--set", kv)]
+    assert main(["synth", "--out", str(root / "raw")] + settings_args) == 0
+    assert main(["preprocess", "--data", str(root / "raw"), "--out", str(root / "data")] + settings_args) == 0
+    return root / "raw", root / "data"
+
+
+def test_valid_directories_read(dataset_dirs):
+    raw, data = dataset_dirs
+    assert len(pl.load_runs_dir(raw)) == 4 and len(pl.load_dataset(data).X) == 20
+
+
+# name -> (index into `dataset_dirs`, file mutated there, reader of the directory)
+DIRECTORY_FILES = {
+    "manifest": (0, pl.MANIFEST, pl.load_runs_dir),
+    "dataset_meta": (1, pl.DATASET_META, pl.load_dataset),
+}
+
+
+@pytest.mark.parametrize("mutation", ["bytes", "lines"])
+@pytest.mark.parametrize("name", list(DIRECTORY_FILES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_directory_file_raises_only_strokedet_errors(dataset_dirs, name, mutation, data):
+    index, file_name, read = DIRECTORY_FILES[name]
+    directory = dataset_dirs[index]
+    path = directory / file_name
+    blob = path.read_bytes()
+    if mutation == "bytes":
+        mutant = mutate(blob, data.draw(byte_ops(blob)))
+    else:
+        mutant = mutate_lines(blob, data.draw(line_ops(blob)))
+    read_mutant(read, path, blob, mutant, target=directory)
 
 
 _DEEP = "[" * 100_000 + "]" * 100_000

@@ -103,7 +103,7 @@ class TestTrainModel:
 @pytest.mark.parametrize("setting", [
     {"learning_rate": float("nan")}, {"learning_rate": float("inf")}, {"learning_rate": -1e-3},
     {"epochs": 1.5}, {"epochs": 2.0}, {"epochs": 0}, {"batch_size": 1.5}, {"batch_size": 2.0},
-    {"batch_size": -1},
+    {"batch_size": -1}, {"epochs": True}, {"seed": 0.5},
 ])
 def test_bad_train_config_is_a_config_error(setting):
     with pytest.raises(ConfigError, match=next(iter(setting))):
