@@ -16,7 +16,9 @@ interval, and the next one then starts at once; the report gives the median
 and largest gap between samples. The report gives the peaks in MB of this
 process, of the workers summed and of the sum at one sample; then each
 process's own peak and the sum of those peaks, which does not depend on
-whether the processes peak at the same sample; then the arena's size and the
+whether the processes peak at the same sample; then each process's minor
+page faults and system CPU seconds during the call (from /proc/<pid>/stat),
+which show the pages it mapped and zeroed; then the arena's size and the
 pages it holds after the call. Only /proc is read.
 """
 
@@ -35,6 +37,7 @@ from strokedet.training import TrainConfig, train_model
 
 MB = 1024.0
 INTERVAL_S = 0.005
+TICKS_PER_S = os.sysconf("SC_CLK_TCK")
 
 
 def pss_kb(pid: int) -> int:
@@ -47,6 +50,13 @@ def pss_kb(pid: int) -> int:
     except OSError:
         pass
     return 0
+
+
+def faults_and_system_s(pid: int) -> tuple:
+    """(minor page faults, system CPU seconds) of `pid` so far."""
+    stat = Path(f"/proc/{pid}/stat").read_text()
+    fields = stat[stat.rindex(")") + 2:].split()  # from field 3 on; the name may hold spaces
+    return int(fields[7]), int(fields[12]) / TICKS_PER_S
 
 
 def children(pid: int) -> list:
@@ -105,6 +115,8 @@ def run(argv=None) -> int:
     cfg = TrainConfig(epochs=1, batch_size=args.batch_size, seed=0)
     train_model(spec, train[:2], TrainConfig(epochs=1, batch_size=2, seed=0))
 
+    pids = [os.getpid(), *children(os.getpid())]
+    before = {p: faults_and_system_s(p) for p in pids}
     sampler = Sampler()
     sampler.start()
     t0 = time.perf_counter()
@@ -114,6 +126,7 @@ def run(argv=None) -> int:
         seconds = time.perf_counter() - t0
         sampler.done.set()
         sampler.join()
+    after = {p: faults_and_system_s(p) for p in pids}
 
     pool = shards._POOL
     print(f"{args.arch}: {args.train} train + {args.val} val windows of {args.time} samples, "
@@ -129,6 +142,10 @@ def run(argv=None) -> int:
                     for p, kb in sampler.peaks.items())
     print(f"peak Pss of each process: {own} MB")
     print(f"sum of the per-process peaks: {sum(sampler.peaks.values()) / MB:.1f} MB")
+    during = "; ".join(f"{'this process' if p == os.getpid() else f'worker {p}'} "
+                       f"{after[p][0] - before[p][0]} faults, {after[p][1] - before[p][1]:.2f} s"
+                       for p in pids)
+    print(f"minor page faults and system CPU during the call: {during}")
     if pool is None or pool.closed:
         print("arena after the call: none (no worker pool)")
     else:

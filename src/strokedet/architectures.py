@@ -294,16 +294,19 @@ class Model:
         return [(f"{prefix}.{key}", value) for prefix, obj in zip(self.prefixes, self.layers)
                 for key, value in obj.params.items()]
 
-    def forward(self, x: np.ndarray, batch_size: int | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, batch_size: int | None = None,
+                outs: list | None = None) -> np.ndarray:
         """(batch, time, 1) -> (batch, time) model output, in the
         `shards.chunk_bounds` chunks of `batch_size`; with None (training) in
-        one chunk, whose layer caches `caches` keeps for `backward`."""
+        one chunk, whose layer caches `caches` keeps for `backward`. `outs`,
+        one reduction buffer dict per layer as `backward` takes them, lets
+        each layer build its cache there."""
         self.caches = []  # drops what a step with a non-finite loss left
         chunks = []
         for lo, hi in shards.chunk_bounds(len(x), batch_size):
             y = x[lo:hi]
-            for obj in self.layers:
-                y, cache = obj.forward(y)
+            for i, obj in enumerate(self.layers):
+                y, cache = obj.forward(y) if outs is None else obj.forward(y, outs[i])
                 if batch_size is None:
                     self.caches.append(cache)
                 del cache  # a prediction's dies here, before the next layer runs

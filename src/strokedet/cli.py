@@ -248,33 +248,39 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE", help="override a config key (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, outputs=("out",)):
-        """A subcommand; `outputs` names its options that give paths it writes."""
+    def command(name, func, summary):
         p = sub.add_parser(name, help=summary, parents=[common])
-        p.set_defaults(func=func, outputs=outputs)
+        p.set_defaults(func=func, outputs={})
         return p
 
+    def output(p, flag, *, directory, **kwargs):
+        """An option of `p` that gives the path of a file or a directory it writes."""
+        p.get_default("outputs")[p.add_argument(flag, **kwargs).dest] = directory
+
     p = command("synth", cmd_synth, "generate a labeled synthetic dataset")
-    p.add_argument("--out", required=True, help="output directory for runs + manifest")
+    output(p, "--out", directory=True, required=True, help="output directory for runs + manifest")
 
     p = command("preprocess", cmd_preprocess, "windows, targets, and split plan from raw runs")
     p.add_argument("--data", required=True, help="directory with run CSVs and event files")
-    p.add_argument("--out", required=True, help="output directory for the materialized dataset")
+    output(p, "--out", directory=True, required=True,
+           help="output directory for the materialized dataset")
 
-    p = command("train", cmd_train, "train one architecture on the train partition",
-                outputs=("weights", "weights_json", "history"))
+    p = command("train", cmd_train, "train one architecture on the train partition")
     p.add_argument("--arch", default=None, help="architecture name (overrides config)")
     p.add_argument("--data", default=None, help="preprocessed dataset directory")
-    p.add_argument("--weights", type=Path, default=None, help="output weights file")
-    p.add_argument("--weights-json", type=Path, default=None, help="also export weights as JSON")
-    p.add_argument("--history", type=Path, default=None, help="output per-epoch loss CSV")
+    output(p, "--weights", directory=False, type=Path, default=None, help="output weights file")
+    output(p, "--weights-json", directory=False, type=Path, default=None,
+           help="also export weights as JSON")
+    output(p, "--history", directory=False, type=Path, default=None,
+           help="output per-epoch loss CSV")
     p.add_argument("--count-only", action="store_true",
                    help="print the exact parameter count and exit")
 
-    for name, func, summary, out in [
-        ("predict", cmd_predict, "extract detections for a partition", "output detections JSONL"),
+    for name, func, summary, out, directory in [
+        ("predict", cmd_predict, "extract detections for a partition", "output detections JSONL",
+         False),
         ("evaluate", cmd_evaluate, "soft precision/recall/F1 with margin restriction",
-         "output directory for metrics + histogram"),
+         "output directory for metrics + histogram", True),
     ]:
         p = command(name, func, summary)
         p.add_argument("--data", required=True)
@@ -282,31 +288,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--predict-from-labels", action="store_true",
                        help="use smoothed targets as the model output (oracle mode)")
         p.add_argument("--partition", default=rn.HOLDOUT)
-        p.add_argument("--out", required=True, help=out)
+        output(p, "--out", directory=directory, required=True, help=out)
 
     p = command("crossval", cmd_crossval, "subject-aware k-fold training and evaluation")
     p.add_argument("--arch", default=None)
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="output directory for the report")
+    output(p, "--out", directory=True, required=True, help="output directory for the report")
 
-    p = command("arch", cmd_arch, "print layer tables and exact parameter counts", outputs=())
+    p = command("arch", cmd_arch, "print layer tables and exact parameter counts")
     p.add_argument("name", nargs="?", default=None,
                    help="one architecture name; omit to list all eight")
 
     return parser
 
 
-def _outputs(args) -> set:
-    """The paths given to the command's output options."""
-    return {Path(value) for name in args.outputs if (value := getattr(args, name)) is not None}
+def _outputs(args) -> dict:
+    """Path -> whether it names a directory, for the command's output options."""
+    return {Path(value): directory for name, directory in args.outputs.items()
+            if (value := getattr(args, name)) is not None}
 
 
 def _refuse_unwritable_outputs(args) -> None:
     """ConfigError naming the first output path that cannot be written: an
-    existing one this process cannot write, or a new one whose nearest existing
-    ancestor is not a directory it can write into. Creates nothing."""
-    for path in sorted(_outputs(args)):
+    existing one of the wrong kind (a directory given for a file, or anything
+    else for a directory) or that this process cannot write, or a new one
+    whose nearest existing ancestor is not a directory it can write into.
+    Creates nothing."""
+    for path, directory in sorted(_outputs(args).items()):
         existing = next(p for p in (path, *path.parents) if p.exists())
+        if existing == path and path.is_dir() != directory:
+            raise ConfigError(f"cannot write {path}: it is {'not ' if directory else ''}a directory")
         if not os.access(existing, os.W_OK) or existing != path and not existing.is_dir():
             what = "writable" if existing == path else "a writable directory"
             raise ConfigError(f"cannot write {path}: {existing} is not {what}")
@@ -323,7 +334,7 @@ def main(argv=None) -> int:
     except StrokedetError as exc:
         error = exc
     except OSError as exc:  # a write that fails anyway, at or under an output path
-        if exc.filename is None or _outputs(args).isdisjoint({Path(exc.filename), *Path(exc.filename).parents}):
+        if exc.filename is None or _outputs(args).keys().isdisjoint({Path(exc.filename), *Path(exc.filename).parents}):
             raise
         error = ConfigError(f"cannot write {exc.filename}: {exc.strerror}")
     print(f"error: {error}", file=sys.stderr)

@@ -11,10 +11,15 @@ the layer input while filling `grads`, in two parts that share the buffers
 `out`, shaped per row as `reduce_shapes(t)` says for windows of t samples:
 `backward_rows(gy, cache, out)` works row by row, empties `cache` as it
 unpacks it, writes the reduction inputs into `out` (freeing the cached
-arrays it is done with before each copy) and returns the input gradient;
+arrays it is done with before each copy, and copying none that `forward`
+built there) and returns the input gradient;
 `reduce` fills `grads` from the `out` of a whole batch. `backward` allocates
 `out` itself; row shards of a batch (`strokedet.shards`) run the first part
 apart on their rows of arena buffers and leave the second to one process.
+There `forward(x, out)` builds the cache in those buffers where it is a
+reduction input, so that it is not held twice: the conv layer's padded
+input and pre-activation, the dense layer's input. A GRU's time-major cache
+is not, and a GRU ignores `out`.
 
 The GRU uses the reset-after gate formulation with separate input and
 recurrent biases (parameter count per direction: 3*h*(in+h) + 6*h):
@@ -52,11 +57,12 @@ from scipy.special import expit as _sigmoid
 from .errors import ConfigError
 
 # name -> (activation of the pre-activation a, gradient w.r.t. a given gy,
-# written into `out`)
+# written into `out`); an activation is a new array, never `a` itself, which
+# backward may overwrite with its gradient
 ACTIVATIONS = {
     "relu": (lambda a: np.maximum(a, 0.0),
              lambda a, gy, out: np.multiply(gy, a > 0.0, out=out)),
-    "linear": (lambda a: a, lambda a, gy, out: np.positive(gy, out=out)),
+    "linear": (np.positive, lambda a, gy, out: np.positive(gy, out=out)),
 }
 
 
@@ -103,7 +109,7 @@ class Conv1D:
         self.params = {"kernel": kernel, "bias": bias}
         self.grads = {}
 
-    def forward(self, x: np.ndarray) -> tuple:
+    def forward(self, x: np.ndarray, out: dict | None = None) -> tuple:
         kernel = self.params["kernel"]
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ConfigError(
@@ -111,8 +117,15 @@ class Conv1D:
             )
         b, t, _ = x.shape
         pad = (self.kernel_size - 1) // 2
-        xp = np.pad(x, ((0, 0), (pad, pad), (0, 0))) if pad else x
-        a = np.broadcast_to(self.params["bias"], (b, t, self.out_channels)).copy()
+        if out is None:
+            xp = np.pad(x, ((0, 0), (pad, pad), (0, 0))) if pad else x
+            a = np.empty((b, t, self.out_channels))
+        else:  # backward overwrites the pre-activation with its gradient
+            xp, a = out["xp"], out["da"]
+            xp[:, :pad] = 0.0
+            xp[:, pad:pad + t] = x
+            xp[:, pad + t:] = 0.0
+        a[...] = self.params["bias"]
         for j in range(self.kernel_size):
             a += xp[:, j:j + t] @ kernel[j]
         return self._act(a), [xp, a]
@@ -128,7 +141,8 @@ class Conv1D:
         pad = (self.kernel_size - 1) // 2
         da = self._act_grad(a, gy, out["da"])
         del a  # freed before xp is copied
-        np.copyto(out["xp"], xp)
+        if xp is not out["xp"]:
+            np.copyto(out["xp"], xp)
         del xp  # freed before dxp is allocated
         dxp = np.zeros_like(out["xp"])
         for j in range(self.kernel_size):
@@ -157,11 +171,14 @@ class DenseTimeDistributed:
         self.params = {"weight": weight, "bias": bias}
         self.grads = {}
 
-    def forward(self, x: np.ndarray) -> tuple:
+    def forward(self, x: np.ndarray, out: dict | None = None) -> tuple:
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ConfigError(
                 f"dense(timedistributed) expects (batch, time, {self.in_channels}), got {x.shape}"
             )
+        if out is not None:
+            np.copyto(out["x"], x)
+            x = out["x"]
         a = x @ self.params["weight"] + self.params["bias"]
         return self._act(a), [x, a]
 
@@ -172,7 +189,8 @@ class DenseTimeDistributed:
         x, a = cache
         cache.clear()
         da = self._act_grad(a, gy, out["da"])
-        np.copyto(out["x"], x)
+        if x is not out["x"]:
+            np.copyto(out["x"], x)
         return da @ self.params["weight"].T
 
     def reduce(self, red: dict) -> None:
@@ -196,7 +214,7 @@ class GRU:
         self.params = {"W": W, "U": U, "bw": bw, "bu": bu}
         self.grads = {}
 
-    def forward(self, x: np.ndarray) -> tuple:
+    def forward(self, x: np.ndarray, out: dict | None = None) -> tuple:
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ConfigError(f"gru expects (batch, time, {self.in_channels}), got {x.shape}")
         b, t, _ = x.shape
@@ -297,7 +315,7 @@ class BiGRU:
         self.in_channels, self.hidden = self.fwd.in_channels, self.fwd.hidden
         self.grads = {}
 
-    def forward(self, x: np.ndarray) -> tuple:
+    def forward(self, x: np.ndarray, out: dict | None = None) -> tuple:
         yf, cf = self.fwd.forward(x)
         yb, cb = self.bwd.forward(x[:, ::-1])
         return np.concatenate([yf, yb[:, ::-1]], axis=2), [cf, cb]

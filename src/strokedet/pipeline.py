@@ -205,8 +205,10 @@ def load_dataset(data_dir) -> WindowDataset:
     try:
         meta = json.loads(meta_path.read_text())
         windows = list(meta["windows"])
-        window_length = int(meta["window_length"])
-        window_stride = int(meta["window_stride"])
+        window_length, window_stride = meta["window_length"], meta["window_stride"]
+        if not all(type(n) is int and n >= 1 for n in (window_length, window_stride)):
+            raise ValueError(f"window_length {window_length!r} and window_stride "
+                             f"{window_stride!r} must be integers >= 1")
     except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DataError(f"{meta_path}: not a valid dataset meta file: {exc}") from exc
     split = rn.read_split_json(data_dir / SPLIT_FILE)
@@ -229,6 +231,9 @@ def load_dataset(data_dir) -> WindowDataset:
         )
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise DataError(f"{bin_path}: non-finite values in X or Y")
+    if any(column.shape != event_columns[0].shape or column.ndim != 1 for column in event_columns):
+        raise DataError(f"{bin_path}: event columns of shapes {[c.shape for c in event_columns]} "
+                        "are not three 1-D arrays of one length")
     n = X.shape[0]
     if len(windows) != n:
         raise DataError(f"{meta_path}: lists {len(windows)} windows, {bin_path} holds {n}")

@@ -7,7 +7,8 @@ on the original stdout; fd 1 is pointed at stderr so that nothing else
 writes into the reply stream. The worker exits at EOF on stdin. The first
 reply is `(True, strokedet.__file__)`, and the caller refuses a worker that
 imports other sources than its own. Each forward request's `Model` replaces
-the last one; a training call's keeps its layer caches for the backward one.
+the last one; a training call's builds its layer caches in the call's arena
+reduction buffers where it can, and keeps them for the backward request.
 """
 
 from __future__ import annotations
@@ -33,17 +34,18 @@ def _portable(exc: BaseException) -> BaseException:
 class Worker:
     def __init__(self, fd: int):
         self.arena = Arena(fd)
-        self.model = None
+        self.model = self.outs = None
 
-    def forward(self, lo, hi, spec, params, xref, pref, batch_size):
+    def forward(self, lo, hi, spec, params, xref, pref, batch_size, reds):
         arena = self.arena
         self.model = Model(spec, {name: arena.array(ref) for name, ref in params.items()})
-        arena.array(pref)[lo:hi] = self.model.forward(arena.array(xref)[lo:hi], batch_size)
+        self.outs = None if reds is None else [
+            {name: arena.array(ref)[lo:hi] for name, ref in red.items()} for red in reds]
+        arena.array(pref)[lo:hi] = self.model.forward(arena.array(xref)[lo:hi], batch_size,
+                                                      self.outs)
 
-    def backward(self, lo, hi, gref, reds):
-        arena = self.arena
-        outs = [{name: arena.array(ref)[lo:hi] for name, ref in red.items()} for red in reds]
-        self.model.backward(arena.array(gref)[lo:hi], outs)
+    def backward(self, lo, hi, gref):
+        self.model.backward(self.arena.array(gref)[lo:hi], self.outs)
 
     def reduce(self, tasks):
         arena = self.arena

@@ -6,12 +6,13 @@ layers. The executor cuts the rows into contiguous shards of at least
 `MIN_ROWS` rows, one per worker process, and each worker runs its shard with
 `Model.forward`: a prediction in the `chunk_bounds` chunks of `batch_size`,
 keeping no layer cache, so `batch_size` bounds the rows one process holds at
-once, not how rows are spread over workers; a training call in one chunk, then
-its backward pass, which pops the caches `Model` kept and leaves every layer's
-reduction inputs in full-batch arena arrays. Then each layer's weight-gradient
-reduction runs once over the full batch on one worker, with the layer's own
-`reduce`, so the summation order is that of an unsharded call. The caller
-keeps the loss and the optimiser step.
+once, not how rows are spread over workers; a training call in one chunk,
+whose layers build the caches that are reduction inputs straight in the
+call's full-batch arena arrays, then its backward pass, which pops the caches
+`Model` kept and leaves every layer's reduction inputs in those arrays. Then
+each layer's weight-gradient reduction runs once over the full batch on one
+worker, with the layer's own `reduce`, so the summation order is that of an
+unsharded call. The caller keeps the loss and the optimiser step.
 
 Every per-row operation gives a row the same bits whatever rows share its
 shard or chunk, and every BLAS call runs on one thread, as on a host with no
@@ -28,12 +29,28 @@ GRU recurrence holds the GIL, so processes, not threads, overlap it. They
 share arrays through one `memfd` arena and take small pickled messages on
 stdin/stdout. A call lays out all its arrays, reduction inputs included
 (`reduce_shapes`, from the layers and the window length alone), before its
-first round and sizes the arena to that layout once, giving back the pages
-beyond it; calls of one size keep their pages. The pool starts on the first
-model call, serves one call at a time to any thread, and is closed and
-waited for at exit. A worker that dies fails its call with `StrokedetError`
-and the next call starts a new pool; an error raised in a worker is raised
-again in the caller with its own type and exit code.
+first round and grows the arena to that layout once.
+
+The pool keeps every page it has touched until it closes: the arena never
+shrinks, and each worker's glibc keeps the blocks it frees (`_WORKER_MALLOC`)
+instead of unmapping them or trimming its heap. An epoch of training is its
+steps followed by a smaller validation prediction; giving pages back
+between them made every step map and zero them again, and on a 2-core host
+CNNc1 workers spent 13-17% of their CPU time in the kernel doing so. The
+cost is what stays held after a call: the arena's largest layout (772 MB
+for a 32-row CNNc1 step of 1000 samples) and each worker's heap high-water
+mark. Both are held at once, so a heap that held the conv layers' caches
+beside the arena's copy of them would hold them twice: each conv layer
+builds its cache in the arena instead (`Model.forward`'s `outs`). On a
+2-core host a CNNc1 call's peak summed Pss is then ~1.54 GB for 32 + 32
+windows and for 96 + 32 (it was ~1.42 and ~1.94 GB). `close_pool()`, or the
+process's exit, gives them back.
+
+The pool starts on the first model call, serves one call at a time to any
+thread, and is closed and waited for at exit. A worker that dies fails its
+call with `StrokedetError` and the next call starts a new pool; an error
+raised in a worker is raised again in the caller with its own type and exit
+code.
 """
 
 from __future__ import annotations
@@ -60,6 +77,16 @@ MIN_ROWS = 2
 MAX_WORKERS = 16
 _ALIGN = 64
 _WAIT_S = 10.0
+# glibc malloc settings of the workers. By default glibc mmaps every block
+# over 32 MiB (a CNNc1 conv activation is 65 MB at 16 rows) and unmaps it on
+# free, and it trims freed memory off the heap top, so each step faulted in
+# and zeroed its temporaries again. With the arena, that was ~123k minor
+# faults and 0.65-0.83 s of system time per worker for a 32-row CNNc1 step
+# and its 32-window validation prediction on a 2-core host; with these and
+# the kept arena, none from the second such call on. A trim threshold that
+# no heap reaches keeps the heap. Other libcs ignore these variables; the
+# caller's own allocator is left as it is.
+_WORKER_MALLOC = {"MALLOC_MMAP_MAX_": "0", "MALLOC_TRIM_THRESHOLD_": str(4 << 30)}
 
 
 def _cores() -> int:
@@ -89,11 +116,11 @@ def chunk_bounds(rows: int, batch_size: int | None) -> list:
 class Arena:
     """float64 arrays at byte offsets of one memfd, mapped by every process.
 
-    A ref is (offset, shape). The caller sizes the file with `fit`, once per
+    A ref is (offset, shape). The caller grows the file with `fit`, once per
     call; a worker maps the size it is told. Growing keeps earlier mappings
-    valid: they map the same pages. Shrinking frees the pages beyond a size
-    and keeps the file's size, so every mapping stays valid and reads zeros
-    there.
+    valid: they map the same pages. The file never shrinks, so a call after a
+    larger one reuses pages that are already mapped instead of faulting them
+    in again; they are freed once every process has closed and unmapped it.
     """
 
     def __init__(self, fd: int):
@@ -107,13 +134,11 @@ class Arena:
             self.size = size
 
     def fit(self, size: int) -> None:
-        """Holds `size` bytes, rounded up to whole pages, and no page beyond."""
+        """Holds at least `size` bytes, rounded up to whole pages."""
         size = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
         if size > self.size:
             os.ftruncate(self.fd, size)
             self.attach(size)
-        elif size < self.size:
-            self.map.madvise(mmap.MADV_REMOVE, size, self.size - size)
 
     def array(self, ref) -> np.ndarray:
         offset, shape = ref
@@ -149,7 +174,7 @@ class Pool:
         self.arena = Arena(os.memfd_create("strokedet-shards"))
         src = str(Path(__file__).resolve().parents[1])  # holds this strokedet package
         path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", **_WORKER_MALLOC,
                    PYTHONPATH=src + (os.pathsep + path if path else ""))
         try:
             for _ in range(n):
@@ -201,7 +226,8 @@ class Pool:
         return [value for _, value in replies]
 
     def close(self) -> None:
-        """End every worker (EOF, then kill if it does not exit) and wait for it."""
+        """End every worker (EOF, then kill if it does not exit), wait for it,
+        and unmap the arena, which frees its pages."""
         if self.closed:
             return
         self.closed = True
@@ -217,6 +243,8 @@ class Pool:
                 proc.kill()
                 proc.wait(timeout=_WAIT_S)
             proc.stdout.close()
+        if self.arena.map is not None:  # every array a call returns is a copy
+            self.arena.map.close()
         os.close(self.arena.fd)
 
 
@@ -234,6 +262,7 @@ class _Sharded:
         arena, layout, model = self.pool.arena, _Layout(), self.model
         params = {name: layout.add(value.shape) for name, value in model.named_params()}
         xref, pref = layout.add(x.shape), layout.add(x.shape[:2])
+        reds = None
         if batch_size is None:  # a training call: lay out its backward pass too
             rows, t = x.shape[:2]
             gref = layout.add((rows, t))
@@ -246,7 +275,7 @@ class _Sharded:
         for name, value in model.named_params():
             arena.array(params[name])[...] = value
         arena.array(xref)[...] = x
-        self._round([("forward", lo, hi, model.spec, params, xref, pref, batch_size)
+        self._round([("forward", lo, hi, model.spec, params, xref, pref, batch_size, reds)
                      for lo, hi in self.bounds])
         return arena.array(pref).copy()
 
@@ -254,7 +283,7 @@ class _Sharded:
         arena, layers = self.pool.arena, self.model.layers
         gref, reds, grads = self.refs
         arena.array(gref)[...] = gy
-        self._round([("backward", lo, hi, gref, reds) for lo, hi in self.bounds])
+        self._round([("backward", lo, hi, gref) for lo, hi in self.bounds])
         # each layer's reduction runs whole on one worker, largest layers first
         # onto the least loaded worker; a reduction sums every weight entry's
         # gradient over the batch's rows and time steps, so its cost follows

@@ -247,10 +247,12 @@ def _set_first(column, value):
     return corrupt
 
 
-def _drop_target_rows(path):
-    arrays = load_arrays(path)
-    arrays["Y"] = arrays["Y"][:-3]
-    save_arrays(path, arrays)
+def _drop_last_rows(column, n):
+    def corrupt(path):
+        arrays = load_arrays(path)
+        arrays[column] = arrays[column][:-n]
+        save_arrays(path, arrays)
+    return corrupt
 
 
 def _edit_split(edit):
@@ -281,6 +283,14 @@ def _without(key):
     return lambda entry: {k: v for k, v in entry.items() if k != key}
 
 
+def _set_meta(key, value):
+    def corrupt(path):
+        meta = json.loads(path.read_text())
+        meta[key] = value
+        path.write_text(json.dumps(meta))
+    return corrupt
+
+
 @pytest.mark.parametrize("stage, name, corrupt", [
     ("raw", "manifest.json", _truncate),
     ("raw", "manifest.json", _name_unknown_boat_type),
@@ -298,20 +308,27 @@ def _without(key):
     ("data", "windows.bin", _set_first("event_window", 0.5)),
     ("data", "windows.bin", _set_first("event_window", -1.0)),
     ("data", "windows.bin", _set_first("event_window", 1e6)),
-    ("data", "windows.bin", _drop_target_rows),
+    ("data", "windows.bin", _drop_last_rows("Y", 3)),
     ("data", "windows.bin", _set_first("X", np.nan)),
     ("data", "windows.meta.json", _edit_first_meta_window(_without("athlete_id"))),
     ("data", "windows.meta.json", _edit_first_meta_window(lambda entry: "run01:0")),
     ("data", "windows.meta.json", _edit_first_meta_window(lambda entry: {**entry, "start": "0"})),
     ("data", "windows.meta.json", _edit_first_meta_window(lambda entry: {**entry, "athlete_id": "zz"})),
     ("data", "split.json", _edit_split(_drop_first_athlete)),
+    ("data", "windows.meta.json", _set_meta("window_stride", 200.9)),
+    ("data", "windows.meta.json", _set_meta("window_stride", -5)),
+    ("data", "windows.meta.json", _set_meta("window_stride", 0)),
+    ("data", "windows.meta.json", _set_meta("window_stride", True)),
+    ("data", "windows.meta.json", _set_meta("window_length", 1000.0)),
+    ("data", "windows.bin", _drop_last_rows("event_t", 1)),
 ], ids=["truncated_manifest", "manifest_unknown_boat_type", "truncated_meta", "empty_meta",
         "meta_window_missing", "truncated_split",
         "split_zero_folds", "split_unknown_fold", "event_sign_zero", "event_t_nan",
         "event_t_fractional", "event_t_negative", "event_t_window_length", "event_window_fractional",
         "event_window_negative", "event_window_past_end", "targets_short", "window_nan",
         "meta_window_no_athlete", "meta_window_not_object", "meta_window_text_start",
-        "meta_window_unknown_athlete", "split_athlete_missing"])
+        "meta_window_unknown_athlete", "split_athlete_missing", "stride_fractional", "stride_negative",
+        "stride_zero", "stride_true", "length_float", "event_t_short"])
 def test_malformed_dataset_file_exit_code(workspace, tmp_path, stage, name, corrupt):
     copy = tmp_path / stage
     shutil.copytree(workspace / stage, copy)
@@ -471,19 +488,33 @@ def test_window_keys_that_do_not_fit_the_dataset_are_refused_before_training(
     assert setting.split("=")[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, option", [
-    ("synth", "--out"), ("preprocess", "--out"), ("train", "--weights"), ("train", "--weights-json"),
-    ("train", "--history"), ("predict", "--out"), ("evaluate", "--out"), ("crossval", "--out"),
+_FILE_OPTIONS = [("train", "--weights"), ("train", "--weights-json"), ("train", "--history"),
+                 ("predict", "--out")]
+_DIRECTORY_OPTIONS = [("synth", "--out"), ("preprocess", "--out"), ("evaluate", "--out"),
+                      ("crossval", "--out")]
+
+
+@pytest.mark.parametrize("command, option, given", [
+    *[pytest.param(c, o, "under_file", id=f"{c}-{o}") for c, o in _FILE_OPTIONS + _DIRECTORY_OPTIONS],
+    # an existing path of the other kind: refused before the command reads or computes anything
+    *[pytest.param(c, o, "directory", id=f"{c}-{o}-directory") for c, o in _FILE_OPTIONS],
+    *[pytest.param(c, o, "file", id=f"{c}-{o}-file") for c, o in _DIRECTORY_OPTIONS],
 ])
-def test_unwritable_output_path_exit_code(workspace, tmp_path, capsys, monkeypatch, command, option):
+def test_unwritable_output_path_exit_code(workspace, tmp_path, capsys, monkeypatch, command, option,
+                                          given):
     def refuse(*args, **kwargs):
         raise AssertionError("worked before the output paths were checked")
 
+    monkeypatch.setattr("strokedet.cli._config", refuse)
     monkeypatch.setattr("strokedet.cli.train_model", refuse)
     monkeypatch.setattr("strokedet.cli.predict_batch", refuse)
     blocker = tmp_path / "file"
     blocker.write_text("")
-    target = str(blocker / "x")  # under a regular file: neither a file nor a directory can be made
+    target = {
+        "under_file": str(blocker / "x"),  # neither a file nor a directory can be made here
+        "directory": str(tmp_path),
+        "file": str(blocker),
+    }[given]
     data = str(workspace / ("raw" if command == "preprocess" else "data"))
     weights = tmp_path / "w.bin"
     if command in ("predict", "evaluate"):
@@ -506,6 +537,15 @@ def test_output_write_that_fails_after_the_check_exit_code(workspace, tmp_path, 
         "--data", str(workspace / "data"), "--predict-from-labels", "--out", str(out),
     ])) == 2
     assert f"cannot write {out}" in capsys.readouterr().err
+
+
+def test_output_write_that_fails_inside_an_output_directory_exit_code(workspace, tmp_path, capsys):
+    out = tmp_path / "metrics"
+    (out / "metrics.json").mkdir(parents=True)  # passes the up-front check, fails on writing
+    assert main(["evaluate"] + tiny_args([
+        "--data", str(workspace / "data"), "--predict-from-labels", "--out", str(out),
+    ])) == 2
+    assert f"cannot write {out / 'metrics.json'}" in capsys.readouterr().err
 
 
 def test_preprocess_refuses_run_files_the_manifest_does_not_list(tmp_path, capsys):

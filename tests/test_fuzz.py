@@ -106,11 +106,12 @@ def mutate_lines(blob: bytes, ops) -> bytes:
     return b"".join(lines)
 
 
-def byte_ops(blob: bytes):
+def byte_ops(blob: bytes, positions=st.nothing()):
     # bytes drawn from anywhere, or from the file's own bytes (digits, quotes,
-    # braces, separators), which keep more mutants close to parsing
+    # braces, separators), which keep more mutants close to parsing; positions
+    # from anywhere, or from `positions`
     byte = st.integers(0, 255) | st.sampled_from(sorted(set(blob)))
-    return st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, len(blob)), byte),
+    return st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, len(blob)) | positions, byte),
                     min_size=1, max_size=6)
 
 
@@ -186,6 +187,65 @@ def test_mutated_directory_file_raises_only_strokedet_errors(dataset_dirs, name,
     else:
         mutant = mutate_lines(blob, data.draw(line_ops(blob)))
     read_mutant(read, path, blob, mutant, target=directory)
+
+
+def _header_offsets(path) -> list:
+    """Byte offsets of a weights container's header and of each array's."""
+    offsets, offset = [0], 12
+    for name, array in load_arrays(path).items():
+        offsets.append(offset)
+        offset += 4 + len(name.encode()) + 5 + 8 * array.ndim + array.nbytes
+    return offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_dataset_arrays_raise_only_strokedet_errors(dataset_dirs, data):
+    # windows.bin read with the meta and split files it must agree with; most
+    # of its bytes are X and Y values, so half the mutations go to the
+    # container's headers (names, dtypes, ranks, dims) and the bytes after them
+    directory = dataset_dirs[1]
+    path = directory / pl.DATASET_BIN
+    blob = path.read_bytes()
+    near_header = st.builds(int.__add__, st.sampled_from(_header_offsets(path)), st.integers(0, 64))
+    mutant = mutate(blob, data.draw(byte_ops(blob, near_header)))
+    read_mutant(pl.load_dataset, path, blob, mutant, target=directory)
+
+
+_ARRAY_EDITS = {
+    "add_axis": lambda array, value: array[..., None],
+    "drop_last": lambda array, value: np.atleast_1d(array)[:-1],
+    "flatten": lambda array, value: array.reshape(-1),
+    "scalar": lambda array, value: np.asarray(value),
+    "float32": lambda array, value: array.astype(np.float32),
+    "set_first": lambda array, value: np.where(np.arange(array.size).reshape(array.shape) == 0,
+                                               value, array),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reshaped_dataset_arrays_raise_only_strokedet_errors(dataset_dirs, data):
+    # what byte mutation seldom reaches: a well-formed container whose arrays
+    # have other ranks, lengths or dtypes than X, Y and the meta file imply
+    directory = dataset_dirs[1]
+    path = directory / pl.DATASET_BIN
+    blob = path.read_bytes()
+    arrays = load_arrays(path)
+    value = st.floats() | st.integers(-2, 1200).map(float)
+    edits = data.draw(st.lists(st.tuples(st.sampled_from(sorted(arrays)),
+                                         st.sampled_from(sorted(_ARRAY_EDITS)), value),
+                               min_size=1, max_size=3))
+    with np.errstate(over="ignore"):  # float32 casts of large values give inf, as wanted
+        for name, edit, value in edits:
+            arrays[name] = _ARRAY_EDITS[edit](arrays[name], value)
+    try:
+        save_arrays(path, arrays)
+        pl.load_dataset(directory)
+    except StrokedetError:
+        pass
+    finally:
+        path.write_bytes(blob)
 
 
 _DEEP = "[" * 100_000 + "]" * 100_000

@@ -281,6 +281,26 @@ def test_reduce_shapes_are_the_per_row_shapes_of_the_reduction_inputs(kind, t):
     assert all(np.isfinite(value).all() for value in layer.grads.values())
 
 
+@pytest.mark.parametrize("kind", list(_LAYERS))
+def test_a_forward_into_the_reduction_buffers_keeps_every_byte(kind):
+    # a training call on the shard workers builds the caches in its arena
+    # reduction buffers, whose reused pages hold old values (NaN here)
+    rng = np.random.default_rng(1)
+    t = 9
+    layer = _LAYERS[kind](t)
+    for value in layer.params.values():
+        value[...] = rng.uniform(-1, 1, value.shape)
+    x = rng.uniform(-1, 1, (3, t, 2))
+    gy = rng.uniform(-1, 1, layer.forward(x)[0].shape)
+    results = []
+    for into_buffers in (False, True):
+        out = {name: np.full((3,) + shape, np.nan) for name, shape in layer.reduce_shapes(t).items()}
+        y, cache = layer.forward(x, out) if into_buffers else layer.forward(x)
+        dx = layer.backward_rows(gy, cache, out)
+        results.append([y.tobytes(), dx.tobytes()] + [out[name].tobytes() for name in sorted(out)])
+    assert results[0] == results[1]
+
+
 class TestModelForward:
     def test_zero_params_zero_output(self):
         spec = build_architecture("gruc1")

@@ -3,6 +3,7 @@ that never outlive their caller, and errors that reach it."""
 
 import hashlib
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -172,7 +173,7 @@ def _held(arena) -> int:
     return os.fstat(arena.fd).st_blocks * 512
 
 
-def test_a_smaller_call_gives_back_the_arena_pages_beyond_its_layout(cores, fresh_pool):
+def test_a_smaller_call_keeps_the_arena_pages(cores, fresh_pool):
     cores(2)
     spec = build_architecture("gruc1")
     model = Model(spec, init_params(spec, 0))
@@ -183,9 +184,56 @@ def test_a_smaller_call_gives_back_the_arena_pages_beyond_its_layout(cores, fres
     held = _held(arena)
     model.predict(large, batch_size=32)
     assert _held(arena) > 10 * held
+    held = _held(arena)
     out = model.predict(small, batch_size=32)
-    assert _held(arena) <= held
+    assert _held(arena) >= held
     np.testing.assert_array_equal(model.predict(large, batch_size=32)[:2], out)
+
+
+def _minor_faults(pid: int) -> int:
+    """Minor page faults of `pid` so far (field 10 of /proc/<pid>/stat)."""
+    stat = Path(f"/proc/{pid}/stat").read_text()
+    return int(stat[stat.rindex(")") + 2:].split()[7])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc variables")
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_workers_reuse_the_memory_of_earlier_steps(cores, fresh_pool):
+    # a 32-row CNNc1 step lays out ~150 MB of arena and frees conv
+    # temporaries of 13 MB and more on every worker; a step that gave its
+    # pages back and faulted them in again would fault thousands of pages
+    cores(2)
+    spec = replace(build_architecture("cnnc1"), input_length=200)
+    model = Model(spec, init_params(spec, 0))
+    X, Y = _data(32, 200)
+    x = X[:, :, None]
+    model.mse_step(x, Y)  # warm-up: the pool starts and every page is touched once
+    pids = [proc.pid for proc in shards._shared_pool().procs]
+
+    def faults(call):
+        before = sum(map(_minor_faults, pids))
+        call()
+        return sum(map(_minor_faults, pids)) - before
+
+    assert faults(lambda: model.mse_step(x, Y)) < 100
+    model.predict(X[:8], batch_size=8)
+    assert faults(lambda: model.mse_step(x, Y)) < 100
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads /proc")
+def test_closing_the_pool_unmaps_the_arena(cores, fresh_pool):
+    cores(2)
+    _gru_call()()
+    pool = shards._shared_pool()
+    inode = str(os.fstat(pool.arena.fd).st_ino)
+
+    def mapped():
+        return any(line.split()[4] == inode and "memfd:strokedet-shards" in line
+                   for line in Path("/proc/self/maps").read_text().splitlines())
+
+    assert mapped()
+    shards.close_pool()
+    assert pool.closed and not mapped()
 
 
 def test_same_size_training_steps_keep_their_arena_pages(cores, fresh_pool, monkeypatch):
@@ -311,11 +359,11 @@ def test_killed_worker_fails_the_call_and_the_next_call_works(tmp_path, monkeypa
 
         forward = ar.Model.forward
 
-        def killed_once(self, x, batch_size=None):
+        def killed_once(self, *args):
             try:
                 os.close(os.open({str(marker)!r}, os.O_CREAT | os.O_EXCL))
             except FileExistsError:
-                return forward(self, x, batch_size)
+                return forward(self, *args)
             os.kill(os.getpid(), signal.SIGKILL)
 
         ar.Model.forward = killed_once
@@ -335,7 +383,7 @@ def test_numeric_error_in_worker_keeps_its_exit_code(tmp_path, monkeypatch, core
         import strokedet.architectures as ar
         from strokedet.errors import NumericError
 
-        def fails(self, x, batch_size=None):
+        def fails(self, *args):
             raise NumericError("injected")
 
         ar.Model.forward = fails
