@@ -177,7 +177,6 @@ def save_dataset(ds: WindowDataset, out_dir) -> None:
     save_arrays(out_dir / DATASET_BIN, {
         "X": ds.X,
         "Y": ds.Y,
-        "start": np.asarray([m["start"] for m in ds.meta], dtype=np.float64),
         "event_window": np.asarray(ev_window, dtype=np.float64),
         "event_t": np.asarray(ev_t, dtype=np.float64),
         "event_sign": np.asarray(ev_sign, dtype=np.float64),

@@ -186,16 +186,20 @@ def write_split_json(plan: SplitPlan, path) -> None:
 
 def read_split_json(path) -> SplitPlan:
     """The plan `write_split_json` wrote; as `subject_aware_split` makes them,
-    2 <= n_folds <= athletes and every label is 'holdout' or 'fold<i>', i < n_folds."""
+    seed is an integer >= 0, 2 <= n_folds <= athletes and every label is
+    'holdout' or 'fold<i>', i < n_folds."""
     try:
         payload = json.loads(Path(path).read_text())
         plan = SplitPlan(
             assignments=dict(payload["assignments"]),
-            seed=int(payload["seed"]),
-            n_folds=int(payload["n_folds"]),
+            seed=payload["seed"],
+            n_folds=payload["n_folds"],
         )
     except (OSError, KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise DataError(f"{path}: not a valid split plan: {exc}") from exc
+    if not (type(plan.seed) is int and plan.seed >= 0 and type(plan.n_folds) is int):
+        raise DataError(f"{path}: seed {plan.seed!r} and n_folds {plan.n_folds!r} "
+                        "must be JSON integers, seed >= 0")
     if not 2 <= plan.n_folds <= len(plan.assignments):
         raise DataError(f"{path}: n_folds {plan.n_folds} outside [2, {len(plan.assignments)} athletes]")
     labels = {HOLDOUT, *(f"fold{i}" for i in range(plan.n_folds))}

@@ -12,6 +12,12 @@ end: events and detections inside a margin are dropped, and so is anything
 whose candidate partner lies inside a margin. The effective number of time
 samples shrinks by 2h accordingly.
 
+Entities are the caller's objects: anything with a sample index `t` and a
+`kind`, such as `labels.EventLabel` and `postprocess.Detection`. They are
+neither copied nor converted, so an assignment and a restriction hand back the
+objects they were given. Kinds are checked here, because `Detection` does not
+check its own.
+
 Association builds one (events x detections) weight matrix, k - |dt| for
 same-kind entities closer than k samples and 0 otherwise; its nonzero entries
 are the candidate pairs the restriction reads. The matching is computed on
@@ -37,12 +43,6 @@ from .errors import ConfigError, check_int_fields
 from .labels import KIND_SIGNS, ONSET
 
 _TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TimedEvent:
-    t: float
-    kind: str
 
 
 @dataclass
@@ -156,22 +156,12 @@ def membership(t_e, t_d, k) -> float:
     return max(0.0, 1.0 - abs(t_d - t_e) / k)
 
 
-def _timed(item) -> TimedEvent:
-    if isinstance(item, TimedEvent):
-        return item
-    if isinstance(item, (int, float, np.integer, np.floating)):
-        return TimedEvent(float(item), ONSET)
-    if isinstance(item, tuple):
-        return TimedEvent(float(item[0]), item[1])
-    return TimedEvent(float(item.t), item.kind)
-
-
-def _coerce(items) -> list:
-    """`items` as TimedEvents sorted by (t, kind); an unknown kind raises ConfigError."""
-    out = [item if type(item) is TimedEvent else _timed(item) for item in items]
-    for ev in out:
-        if ev.kind not in KIND_SIGNS:
-            raise ConfigError(f"unknown event kind {ev.kind!r}")
+def _sorted_checked(items) -> list:
+    """The caller's `items` sorted by (t, kind); an unknown kind raises ConfigError."""
+    out = list(items)
+    for item in out:
+        if item.kind not in KIND_SIGNS:
+            raise ConfigError(f"unknown event kind {item.kind!r}")
     out.sort(key=attrgetter("t", "kind"))
     return out
 
@@ -185,8 +175,8 @@ def associate(events, detections, k) -> Assignment:
     """
     if k <= 0:
         raise ConfigError(f"tolerance k must be positive, got {k}")
-    evs = _coerce(events)
-    dets = _coerce(detections)
+    evs = _sorted_checked(events)
+    dets = _sorted_checked(detections)
     event_t = np.array([e.t for e in evs], dtype=np.float64)
     detection_t = np.array([d.t for d in dets], dtype=np.float64)
     weights = np.maximum(k - np.abs(event_t[:, None] - detection_t[None, :]), 0.0)

@@ -18,7 +18,7 @@ from strokedet.architectures import build_architecture, count_params, layer_para
 from strokedet.cli import main as cli_main
 from strokedet.config import load_config
 from strokedet.gradcheck import LAYER_KINDS, gradient_check, random_toy_shape
-from strokedet.labels import ONSET
+from strokedet.labels import ONSET, EventLabel
 from strokedet.postprocess import Detection, ExtractorConfig, cluster_detections, savgol_filter
 from strokedet.synth import generate_dataset
 from strokedet.training import TrainConfig, predict_batch, train_model
@@ -113,6 +113,11 @@ def test_criterion_4_membership_score_buckets():
            f"max err {worst:.1e}")
 
 
+def onsets(times):
+    """EventLabels of onset times; the oracles read the plain times."""
+    return [EventLabel(t, ONSET) for t in times]
+
+
 def brute_force_max_membership(events, detections, k):
     """Exhaustive max over one-to-one matchings; independent oracle."""
     best = 0.0
@@ -141,7 +146,7 @@ def test_criterion_5_matching_optimality():
     event_sets = list(subsets(grid, 4))
     for events in event_sets:
         for detections in event_sets:
-            got = se.associate(list(events), list(detections), k).total_membership()
+            got = se.associate(onsets(events), onsets(detections), k).total_membership()
             want = brute_force_max_membership(events, detections, k)
             if abs(got - want) > 1e-9:
                 failures += 1
@@ -151,7 +156,7 @@ def test_criterion_5_matching_optimality():
     for _ in range(2000):
         events = sorted(rng.integers(0, 60, size=rng.integers(0, 5)).tolist())
         detections = sorted(rng.integers(0, 60, size=rng.integers(0, 5)).tolist())
-        got = se.associate(events, detections, k).total_membership()
+        got = se.associate(onsets(events), onsets(detections), k).total_membership()
         want = brute_force_max_membership(events, detections, k)
         if abs(got - want) > 1e-9:
             failures += 1
@@ -167,8 +172,8 @@ def test_criterion_6_windowed_extension():
     # margin, and no detection. Hand oracle: unrestricted scoring books the
     # window-A pair (mu=1) plus one miss in window B -> FN_S = 1; restricted
     # scoring drops the margin event, so the penalty vanishes.
-    window_a = ([52], [52])
-    window_b = ([2], [])
+    window_a = (onsets([52]), onsets([52]))
+    window_b = (onsets([2]), [])
     unrestricted = se.evaluate_windowed([window_a, window_b], 100, se.WindowEvalConfig(tolerance_k=15, margin_h=0))
     restricted = se.evaluate_windowed([window_a, window_b], 100, se.WindowEvalConfig(tolerance_k=15, margin_h=15))
     hand_unrestricted = (1.0, 0.0, 1.0)  # tp, fp, fn
@@ -276,7 +281,7 @@ def test_criterion_9_property_suites():
     for _ in range(300):
         events = sorted(rng.integers(0, 200, size=rng.integers(0, 7)).tolist())
         dets = sorted(rng.integers(0, 200, size=rng.integers(0, 7)).tolist())
-        assignment = se.associate(events, dets, 15)
+        assignment = se.associate(onsets(events), onsets(dets), 15)
         kept_e, kept_d = se.restrict(assignment, valid)
         for e in kept_e:
             if not (valid.start <= e.t < valid.stop):
@@ -294,7 +299,7 @@ def test_criterion_9_property_suites():
     for _ in range(1000):
         events = rng.integers(0, 500, size=rng.integers(0, 9)).tolist()
         dets = rng.integers(0, 500, size=rng.integers(0, 9)).tolist()
-        c = se.soft_confusion(events, dets, 500, 15)
+        c = se.soft_confusion(onsets(events), onsets(dets), 500, 15)
         if abs(c.tp_s + c.fn_s - len(events)) > 1e-9:
             conserve_ok = False
         if abs(c.tp_s + c.fp_s - len(dets)) > 1e-9:

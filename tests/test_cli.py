@@ -321,6 +321,12 @@ def _set_meta(key, value):
     ("data", "windows.meta.json", _set_meta("window_stride", True)),
     ("data", "windows.meta.json", _set_meta("window_length", 1000.0)),
     ("data", "windows.bin", _drop_last_rows("event_t", 1)),
+    ("data", "split.json", _edit_split(lambda split: split.update(n_folds=split["n_folds"] + 0.5))),
+    ("data", "split.json", _edit_split(lambda split: split.update(n_folds=str(split["n_folds"])))),
+    ("data", "split.json", _edit_split(lambda split: split.update(n_folds=True))),
+    ("data", "split.json", _edit_split(lambda split: split.update(seed=1.5))),
+    ("data", "split.json", _edit_split(lambda split: split.update(seed=True))),
+    ("data", "split.json", _edit_split(lambda split: split.update(seed=-1))),
 ], ids=["truncated_manifest", "manifest_unknown_boat_type", "truncated_meta", "empty_meta",
         "meta_window_missing", "truncated_split",
         "split_zero_folds", "split_unknown_fold", "event_sign_zero", "event_t_nan",
@@ -328,7 +334,9 @@ def _set_meta(key, value):
         "event_window_negative", "event_window_past_end", "targets_short", "window_nan",
         "meta_window_no_athlete", "meta_window_not_object", "meta_window_text_start",
         "meta_window_unknown_athlete", "split_athlete_missing", "stride_fractional", "stride_negative",
-        "stride_zero", "stride_true", "length_float", "event_t_short"])
+        "stride_zero", "stride_true", "length_float", "event_t_short", "split_folds_fractional",
+        "split_folds_text", "split_folds_true", "split_seed_fractional", "split_seed_true",
+        "split_seed_negative"])
 def test_malformed_dataset_file_exit_code(workspace, tmp_path, stage, name, corrupt):
     copy = tmp_path / stage
     shutil.copytree(workspace / stage, copy)

@@ -14,6 +14,7 @@ from strokedet.errors import DataError
 from strokedet.labels import ENDING, ONSET, EventLabel
 from strokedet.runs import RawRun
 from strokedet.synth import generate_dataset
+from strokedet.weights_io import load_arrays, save_arrays
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,25 @@ def test_save_load_roundtrip(dataset, tmp_path):
     assert back.events == dataset.events
     assert back.split == dataset.split
     assert_labels_shared(back.events)
+
+
+def test_windows_bin_holds_only_what_load_reads(dataset, tmp_path):
+    # window starts live in windows.meta.json alone
+    pl.save_dataset(dataset, tmp_path)
+    arrays = load_arrays(tmp_path / "windows.bin")
+    assert list(arrays) == ["X", "Y", "event_window", "event_t", "event_sign"]
+
+
+def test_load_ignores_a_start_array_of_older_datasets(dataset, tmp_path):
+    pl.save_dataset(dataset, tmp_path)
+    arrays = load_arrays(tmp_path / "windows.bin")
+    starts = np.asarray([m["start"] for m in dataset.meta], dtype=np.float64)
+    save_arrays(tmp_path / "windows.bin", {"X": arrays.pop("X"), "Y": arrays.pop("Y"),
+                                           "start": starts, **arrays})
+    back = pl.load_dataset(tmp_path)
+    np.testing.assert_array_equal(back.X, dataset.X)
+    assert back.meta == dataset.meta
+    assert back.events == dataset.events
 
 
 def test_save_is_byte_deterministic(dataset, tmp_path):

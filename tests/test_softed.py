@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strokedet.errors import ConfigError
-from strokedet.labels import ENDING, ONSET
+from strokedet.labels import ENDING, ONSET, EventLabel
+from strokedet.postprocess import Detection
 from strokedet.softed import (
     SoftConfusion,
-    TimedEvent,
     WindowEvalConfig,
     associate,
     evaluate_windowed,
@@ -21,6 +21,11 @@ from strokedet.softed import (
     soft_metrics,
     valid_range,
 )
+
+
+def labels(items):
+    """EventLabels of onset times and (t, kind) tuples, as the oracles read them."""
+    return [EventLabel(*x) if isinstance(x, tuple) else EventLabel(x, ONSET) for x in items]
 
 
 def brute_force_max_membership(events, detections, k):
@@ -108,12 +113,12 @@ class TestMembership:
 
 class TestAssociate:
     def test_single_candidate(self):
-        a = associate([100], [101], 15)
+        a = associate(labels([100]), labels([101]), 15)
         assert len(a.pairs) == 1
         assert a.pairs[0][2] == pytest.approx(14 / 15, abs=1e-12)
 
     def test_equal_membership_prefers_earlier_detection(self):
-        a = associate([100], [99, 101], 15)
+        a = associate(labels([100]), labels([99, 101]), 15)
         assert len(a.pairs) == 1
         ei, di, mu = a.pairs[0]
         assert a.detections[di].t == 99
@@ -121,17 +126,17 @@ class TestAssociate:
         assert len(a.detections) - len(a.pairs) == 1
 
     def test_no_events(self):
-        a = associate([], [500], 15)
+        a = associate([], labels([500]), 15)
         assert a.pairs == [] and len(a.detections) == 1
 
     def test_kinds_never_match(self):
-        a = associate([(100, ONSET)], [(100, ENDING)], 15)
+        a = associate(labels([(100, ONSET)]), labels([(100, ENDING)]), 15)
         assert a.pairs == []
 
     def test_achieves_brute_force_optimum_on_crossing_chain(self):
         # plain greedy would pick (10,9) first and lose 2/15 here
         events, detections = [0, 10], [9, 11]
-        a = associate(events, detections, 15)
+        a = associate(labels(events), labels(detections), 15)
         assert a.total_membership() == pytest.approx(20 / 15, abs=1e-12)
         assert a.total_membership() == pytest.approx(
             brute_force_max_membership(events, detections, 15), abs=1e-12
@@ -143,31 +148,42 @@ class TestAssociate:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force_on_random_instances(self, events, detections):
-        a = associate(events, detections, 15)
+        a = associate(labels(events), labels(detections), 15)
         expected = brute_force_max_membership(sorted(events), sorted(detections), 15)
         assert a.total_membership() == pytest.approx(expected, abs=1e-9)
 
     @given(_ENTITIES, _ENTITIES)
     @settings(max_examples=300, deadline=None)
     def test_tie_break_matches_brute_force_preference(self, events, detections):
-        assert associate(events, detections, 15).pairs == preferred_matching(events, detections, 15)
+        pairs = associate(labels(events), labels(detections), 15).pairs
+        assert pairs == preferred_matching(events, detections, 15)
 
     @pytest.mark.parametrize("k", [0, -15])
     def test_bad_tolerance_rejected(self, k):
         with pytest.raises(ConfigError):
-            associate([100], [100], k)
+            associate(labels([100]), labels([100]), k)
         with pytest.raises(ConfigError):
-            soft_confusion([100], [100], 1000, k)
+            soft_confusion(labels([100]), labels([100]), 1000, k)
 
-    def test_unknown_kind_of_timed_events_rejected(self):
-        # TimedEvent does not check its kind; associate does, for every list
+    def test_unknown_kind_rejected_in_either_list(self):
+        # Detection does not check its kind; associate does, for every list
         with pytest.raises(ConfigError, match="'x'"):
-            associate([TimedEvent(100.0, "x")], [TimedEvent(101.0, ONSET)], 15)
+            associate([Detection(100, "x", 1.0)], [Detection(101, ONSET, 1.0)], 15)
         with pytest.raises(ConfigError, match="'x'"):
-            associate([TimedEvent(100.0, ONSET)], [TimedEvent(101.0, ONSET), TimedEvent(99.0, "x")], 15)
+            associate(labels([100]), [Detection(101, ONSET, 1.0), Detection(99, "x", -1.0)], 15)
+
+    def test_returns_the_callers_objects(self):
+        events = labels([300, (100, ENDING), 200])
+        detections = [Detection(205, ONSET, 0.9), Detection(101, ENDING, -0.8)]
+        a = associate(events, detections, 15)
+        assert [e.t for e in a.events] == [100, 200, 300]
+        ids = lambda items: {id(x) for x in items}
+        assert ids(a.events) == ids(events) and ids(a.detections) == ids(detections)
+        kept_events, kept_detections = restrict(a, valid_range(1000, 15))
+        assert ids(kept_events) == ids(events) and ids(kept_detections) == ids(detections)
 
     def test_candidate_sets_recorded(self):
-        a = associate([100], [90, 108, 200], 15)
+        a = associate(labels([100]), labels([90, 108, 200]), 15)
         assert np.flatnonzero(a.weights[0]).tolist() == [0, 1]
         assert not a.weights[:, 2].any()
 
@@ -202,17 +218,17 @@ def _restrict_by_masks(assignment, valid):
 
 class TestRestrict:
     def test_margin_event_excludes_coupled_detection(self):
-        a = associate([10], [20], 15)
+        a = associate(labels([10]), labels([20]), 15)
         events, detections = restrict(a, valid_range(1000, 15))
         assert events == [] and detections == []
 
     def test_interior_pair_retained(self):
-        a = associate([500], [503], 15)
+        a = associate(labels([500]), labels([503]), 15)
         events, detections = restrict(a, valid_range(1000, 15))
         assert len(events) == 1 and len(detections) == 1
 
     def test_valid_event_with_margin_candidate_excluded(self):
-        a = associate([984], [990], 15)
+        a = associate(labels([984]), labels([990]), 15)
         events, detections = restrict(a, valid_range(1000, 15))
         assert events == []
 
@@ -222,7 +238,7 @@ class TestRestrict:
         for _ in range(200):
             events = sorted(rng.integers(0, 200, size=rng.integers(0, 6)).tolist())
             dets = sorted(rng.integers(0, 200, size=rng.integers(0, 6)).tolist())
-            a = associate(events, dets, 15)
+            a = associate(labels(events), labels(dets), 15)
             kept_e, kept_d = restrict(a, valid)
             for e in kept_e:
                 assert valid.start <= e.t < valid.stop
@@ -238,25 +254,25 @@ class TestRestrict:
     @given(_ENTITIES, _ENTITIES, st.integers(0, 8))
     @settings(max_examples=300, deadline=None)
     def test_matches_mask_formulation(self, events, detections, h):
-        a = associate(events, detections, 5)
+        a = associate(labels(events), labels(detections), 5)
         valid = valid_range(32, h)
         assert restrict(a, valid) == _restrict_by_masks(a, valid)
 
 
 class TestSoftConfusion:
     def test_partial_match_bookkeeping(self):
-        c = soft_confusion([100, 300], [101, 500], 1000, 15)
+        c = soft_confusion(labels([100, 300]), labels([101, 500]), 1000, 15)
         assert c.tp_s == pytest.approx(14 / 15, abs=1e-12)
         assert c.fp_s == pytest.approx(2 - 14 / 15, abs=1e-12)
         assert c.fn_s == pytest.approx(2 - 14 / 15, abs=1e-12)
         assert c.tn_s == pytest.approx((1000 - 2) - c.fp_s, abs=1e-12)
 
     def test_perfect_detections(self):
-        c = soft_confusion([100, 300], [100, 300], 1000, 15)
+        c = soft_confusion(labels([100, 300]), labels([100, 300]), 1000, 15)
         assert (c.tp_s, c.fp_s, c.fn_s) == (2.0, 0.0, 0.0)
 
     def test_no_detections(self):
-        c = soft_confusion([100, 300], [], 1000, 15)
+        c = soft_confusion(labels([100, 300]), [], 1000, 15)
         assert (c.tp_s, c.fp_s, c.fn_s) == (0.0, 0.0, 2.0)
 
     @given(
@@ -265,7 +281,7 @@ class TestSoftConfusion:
     )
     @settings(max_examples=200, deadline=None)
     def test_conservation(self, events, detections):
-        c = soft_confusion(events, detections, 500, 15)
+        c = soft_confusion(labels(events), labels(detections), 500, 15)
         assert c.tp_s + c.fn_s == pytest.approx(len(events), abs=1e-9)
         assert c.tp_s + c.fp_s == pytest.approx(len(detections), abs=1e-9)
         assert c.tp_s <= min(len(events), len(detections)) + 1e-9
@@ -276,8 +292,8 @@ class TestSoftConfusion:
     )
     @settings(max_examples=100, deadline=None)
     def test_swapping_sides_swaps_precision_recall(self, events, detections):
-        m1 = soft_metrics(soft_confusion(events, detections, 500, 15))
-        m2 = soft_metrics(soft_confusion(detections, events, 500, 15))
+        m1 = soft_metrics(soft_confusion(labels(events), labels(detections), 500, 15))
+        m2 = soft_metrics(soft_confusion(labels(detections), labels(events), 500, 15))
         if m1.precision is None:
             assert m2.recall is None
         else:
@@ -290,14 +306,14 @@ class TestSoftConfusion:
     def test_monotonicity_in_offset(self):
         previous = np.inf
         for offset in range(0, 20):
-            c = soft_confusion([100], [100 + offset], 1000, 15)
+            c = soft_confusion(labels([100]), labels([100 + offset]), 1000, 15)
             assert c.tp_s <= previous + 1e-12
             previous = c.tp_s
 
 
 class TestSoftMetrics:
     def test_partial_example(self):
-        m = soft_metrics(soft_confusion([100, 300], [101, 500], 1000, 15))
+        m = soft_metrics(soft_confusion(labels([100, 300]), labels([101, 500]), 1000, 15))
         assert m.precision == pytest.approx(7 / 15, abs=1e-12)
         assert m.recall == pytest.approx(7 / 15, abs=1e-12)
 
@@ -316,8 +332,8 @@ class TestSoftMetrics:
 
 class TestEvaluateWindowed:
     def test_interior_window_equals_plain_softed(self):
-        events = [200, 500]
-        detections = [201, 503]
+        events = labels([200, 500])
+        detections = labels([201, 503])
         result = evaluate_windowed([(events, detections)], 1000, WindowEvalConfig(tolerance_k=15, margin_h=15))
         plain = soft_confusion(events, detections, 1000 - 30, 15)
         assert result.confusion.tp_s == pytest.approx(plain.tp_s, abs=1e-12)
@@ -328,8 +344,8 @@ class TestEvaluateWindowed:
         window_sets = []
         for _ in range(5):
             window_sets.append((
-                sorted(rng.integers(0, 300, size=4).tolist()),
-                sorted(rng.integers(0, 300, size=4).tolist()),
+                labels(sorted(rng.integers(0, 300, size=4).tolist())),
+                labels(sorted(rng.integers(0, 300, size=4).tolist())),
             ))
         windowed = evaluate_windowed(window_sets, 300, WindowEvalConfig(tolerance_k=15, margin_h=0))
         total = SoftConfusion()
@@ -345,8 +361,8 @@ class TestEvaluateWindowed:
         # overlapping windows starting at 0 and 50. The second window holds
         # the event at relative t=2 (inside its margin) and its detection was
         # cut off with the signal edge, so plain scoring books a miss there.
-        window_a = ([52], [52])
-        window_b = ([2], [])
+        window_a = (labels([52]), labels([52]))
+        window_b = (labels([2]), [])
         restricted = evaluate_windowed([window_a, window_b], 100, WindowEvalConfig(tolerance_k=15, margin_h=15))
         assert restricted.confusion.tp_s == 1.0
         assert restricted.confusion.fp_s + restricted.confusion.fn_s == 0.0
@@ -354,7 +370,7 @@ class TestEvaluateWindowed:
         assert unrestricted.confusion.fp_s + unrestricted.confusion.fn_s >= 1.0
 
     def test_histogram_masses_at_offsets(self):
-        result = evaluate_windowed([([100, 300], [101, 302])], 1000, WindowEvalConfig())
+        result = evaluate_windowed([(labels([100, 300]), labels([101, 302]))], 1000, WindowEvalConfig())
         rows = histogram_rows(result)
         # offsets 1 and 2 -> memberships 14/15 and 13/15
         by_low = {round(lo, 6): count for lo, hi, count in rows}
@@ -363,18 +379,19 @@ class TestEvaluateWindowed:
         assert result.histogram.sum() == 2
 
     def test_histogram_separates_exact_hits(self):
-        result = evaluate_windowed([([100], [100]), ([200], [201])], 1000, WindowEvalConfig())
+        result = evaluate_windowed([(labels([100]), labels([100])), (labels([200]), labels([201]))], 1000,
+                                   WindowEvalConfig())
         rows = histogram_rows(result)
         assert rows[-1] == (1.0, 1.0, 1)
         assert rows[-2][2] == 1
 
     def test_histogram_counts_unmatched_as_zero(self):
-        result = evaluate_windowed([([100], [600])], 1000, WindowEvalConfig())
+        result = evaluate_windowed([(labels([100]), labels([600]))], 1000, WindowEvalConfig())
         assert result.histogram[0] == 2  # one orphan event + one orphan detection
         assert result.histogram.sum() == 2
 
     def test_metrics_payload_shape(self):
-        result = evaluate_windowed([([100], [100])], 1000, WindowEvalConfig())
+        result = evaluate_windowed([(labels([100]), labels([100]))], 1000, WindowEvalConfig())
         payload = metrics_payload(result)
         assert set(payload) == {"precision", "recall", "f1", "tp_s", "fp_s", "fn_s",
                                 "tn_s", "n_windows", "k", "h"}
